@@ -58,8 +58,7 @@ def report(records, bench):
             sa, sb = (a3 - a1) / ma, (b3 - b1) / mb
             shift = (mb - ma) / ma
             worse = shift if m["better"] == "lower" else -shift
-            ok = worse <= m["bound"] and (
-                m["name"] == "setup_s" or max(sa, sb) <= m["bound"])
+            ok = worse <= m["bound"] and max(sa, sb) <= m["bound"]
             ok_all &= ok
             print(f"| {wl} | {m['name']} | {ma:.4g} [{a1:.4g}, {a3:.4g}] | "
                   f"{sa:.3f} | {mb:.4g} [{b1:.4g}, {b3:.4g}] | {sb:.3f} | "

@@ -100,6 +100,20 @@ double peak_rss_mb() {
   return static_cast<double>(kb) / 1024.0;
 }
 
+/// Largest peak RSS, in kB, of this process since its exec (VmHWM) or of
+/// any reaped descendant. RUSAGE_SELF would not do for an exec'd child:
+/// Linux folds the parent's RSS at fork time into it at exec.
+long peak_rss_since_exec_kb() {
+  std::ifstream in("/proc/self/status");
+  long kb = 0;
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("VmHWM:", 0) == 0) kb = std::stol(line.substr(6));
+  }
+  rusage ru{};
+  ::getrusage(RUSAGE_CHILDREN, &ru);
+  return std::max(kb, ru.ru_maxrss);
+}
+
 // ------------------------------------------------------ noise record --
 
 /// Aggregate CPU counters from the first line of /proc/stat.
@@ -279,11 +293,10 @@ void write_set_instance(std::uint64_t sets, std::uint64_t universe,
   if (!out.flush()) throw std::runtime_error("cannot write " + path);
 }
 
-/// One job's parameters: algorithm, MrParams and the extras it needs.
+/// One batch job's parameters: a graph algorithm and its MrParams.
 struct JobKind {
   std::string algo;
   mrlr::core::MrParams params;
-  double eps = 0.0;  // set-cover-greedy only
 };
 
 /// Timings and sizes of one job from file to rendered line.
@@ -291,7 +304,7 @@ struct JobRun {
   JobResult result;
   JobSpec spec;  // kept for the Thm 5.6 projection
   double job_s = 0, cpu_s = 0, read_s = 0, spec_build_s = 0, run_job_s = 0;
-  double read_bytes = 0, incidences = 0;
+  double read_bytes = 0;
   mrlr::obs::TelemetrySnapshot trace;  // run_job's spans, when traced
 };
 
@@ -304,11 +317,14 @@ JobRun run_file_job(const JobKind& kind, const std::string& path,
   const double cpu0 = cpu_seconds();
   const Clock::time_point t0 = Clock::now();
   const mrlr::jobs::AlgorithmInfo* info = mrlr::jobs::find_algorithm(kind.algo);
-  if (info == nullptr) throw std::invalid_argument("unknown algo " + kind.algo);
-  mrlr::jobs::RenderInfo render;
+  if (info == nullptr || info->instance != JobSpec::InstanceKind::kGraph) {
+    throw std::invalid_argument("batch runs graph algorithms only, not " +
+                                kind.algo);
+  }
   std::string header;
   run.read_bytes = static_cast<double>(std::filesystem::file_size(path));
-  if (info->instance == JobSpec::InstanceKind::kGraph) {
+  {
+    // The graph is freed before run_job; the spec holds its own copy.
     Clock::time_point t = Clock::now();
     const mrlr::graph::Graph g = mrlr::graph::read_graph_file(path);
     run.read_s = seconds_since(t);
@@ -320,18 +336,6 @@ JobRun run_file_job(const JobKind& kind, const std::string& path,
                                                   st.density_exponent) +
                "\n";
     }
-    run.spec_build_s = seconds_since(t);
-  } else {
-    Clock::time_point t = Clock::now();
-    std::ifstream in(path);
-    if (!in) throw std::runtime_error("cannot open " + path);
-    const auto sys = mrlr::setcover::read_set_system(in);
-    run.read_s = seconds_since(t);
-    run.incidences = static_cast<double>(sys.total_incidences());
-    t = Clock::now();
-    run.spec = mrlr::jobs::set_system_job(kind.algo, sys, kind.params);
-    run.spec.extras["eps"] = {mrlr::core::pack_double(kind.eps)};
-    render.eps = kind.eps;
     run.spec_build_s = seconds_since(t);
   }
   mrlr::obs::Telemetry& tel = mrlr::obs::Telemetry::instance();
@@ -345,7 +349,7 @@ JobRun run_file_job(const JobKind& kind, const std::string& path,
   }
   // Rendered as `mrlr_cli run` prints it; only the cost is kept.
   [[maybe_unused]] const std::string lines =
-      header + mrlr::jobs::render_solution_line(run.result, render) + "\n" +
+      header + mrlr::jobs::render_solution_line(run.result, {}) + "\n" +
       mrlr::jobs::render_cost_line(run.result.outcome) + "\n";
   run.job_s = seconds_since(t0);
   run.cpu_s = cpu_seconds() - cpu0;
@@ -499,20 +503,13 @@ int run_batch(const Flags& flags) {
   kind.params.mu = flags.f64("mu");
   kind.params.seed = seed;
   kind.params.num_shards = flags.u64("shards");
-  kind.eps = std::stod(flags.str("eps", "0"));
-  const bool graph = flags.str("instance") == "graph";
-  const std::string path = dir + (graph ? "/instance.mgb" : "/instance.sets");
+  const std::string path = dir + "/instance.mgb";
 
   // Set-up: instance generation and file write, repeated so its median
   // is steady; every repetition writes the same bytes.
   for (std::uint64_t rep_ix = 0; rep_ix < flags.u64("setup-reps"); ++rep_ix) {
     const Clock::time_point t = Clock::now();
-    if (graph) {
-      write_graph_instance(flags.u64("n"), flags.f64("c"), seed, path);
-    } else {
-      write_set_instance(flags.u64("sets"), flags.u64("universe"),
-                         flags.u64("set-size"), seed, path);
-    }
+    write_graph_instance(flags.u64("n"), flags.f64("c"), seed, path);
     rep.add("setup_s", seconds_since(t));
   }
 
@@ -545,13 +542,8 @@ int run_batch(const Flags& flags) {
     rep.add("rounds", double(run.result.outcome.rounds));
     rep.add("space_headroom", space_headroom(run.result, run.spec));
     if (!trace) continue;
-    if (graph) {
-      rep.add("graph.read_s", run.read_s);
-      rep.add("graph.bytes", run.read_bytes);
-    } else {
-      rep.add("setcover.read_s", run.read_s);
-      rep.add("setcover.incidences", run.incidences);
-    }
+    rep.add("graph.read_s", run.read_s);
+    rep.add("graph.bytes", run.read_bytes);
     rep.add("jobs.spec_build_s", run.spec_build_s);
     rep.add("jobs.spec_bytes", double(run.spec.instance.size()));
     rep.add("jobs.run_job_s", run.run_job_s);
@@ -582,7 +574,8 @@ double process_tree_cpu_seconds(pid_t pid) {
 }
 
 /// The daemon in its own process (this binary's `daemon` mode). Shuts it
-/// down and reaps it on destruction.
+/// down and reaps it on destruction. The daemon prints its port on start
+/// and its peak RSS (its own or a job's) once it has drained.
 class DaemonProcess {
  public:
   DaemonProcess(const std::string& self, std::uint64_t max_running) {
@@ -600,10 +593,8 @@ class DaemonProcess {
       ::_exit(127);
     }
     ::close(fds[1]);
-    std::string line;
-    char ch = 0;
-    while (::read(fds[0], &ch, 1) == 1 && ch != '\n') line += ch;
-    ::close(fds[0]);
+    out_fd_ = fds[0];
+    const std::string line = read_line();
     if (line.rfind("port ", 0) != 0) {
       stop();
       throw std::runtime_error("daemon did not report its port");
@@ -624,13 +615,17 @@ class DaemonProcess {
   const mrlr::exec::Endpoint& endpoint() const { return endpoint_; }
   pid_t pid() const { return pid_; }
 
-  void stop() {
-    if (pid_ <= 0) return;
+  /// Drains and reaps the daemon. Returns its reported peak RSS in MB, or
+  /// a negative value when it had to be killed and reported none.
+  double stop() {
+    if (pid_ <= 0) return -1;
     const pid_t pid = pid_;
     pid_ = -1;
+    bool drained = false;
     if (endpoint_.port != 0) {
       try {
         mrlr::serve::ServeClient(endpoint_).shutdown();
+        drained = true;
       } catch (...) {
         ::kill(pid, SIGKILL);
       }
@@ -639,10 +634,24 @@ class DaemonProcess {
     }
     int status = 0;
     ::waitpid(pid, &status, 0);
+    // A killed daemon may leave job processes holding the pipe open.
+    const std::string line = drained ? read_line() : "";
+    ::close(out_fd_);
+    out_fd_ = -1;
+    if (line.rfind("peak_rss_kb ", 0) != 0) return -1;
+    return std::stod(line.substr(12)) / 1024.0;
   }
 
  private:
+  std::string read_line() {
+    std::string line;
+    char ch = 0;
+    while (::read(out_fd_, &ch, 1) == 1 && ch != '\n') line += ch;
+    return line;
+  }
+
   pid_t pid_ = -1;
+  int out_fd_ = -1;
   mrlr::exec::Endpoint endpoint_;
 };
 
@@ -653,7 +662,8 @@ int run_daemon(const Flags& flags) {
   mrlr::serve::ServeDaemon daemon("127.0.0.1", 0, std::move(opts));
   std::printf("port %u\n", static_cast<unsigned>(daemon.port()));
   std::fflush(stdout);
-  daemon.run();
+  daemon.run();  // returns once every job process is reaped
+  std::printf("peak_rss_kb %ld\n", peak_rss_since_exec_kb());
   return 0;
 }
 
@@ -811,7 +821,10 @@ int run_serve(const Flags& flags, const std::string& self) {
   rep.noise = noise.finish();
   const auto stats = mrlr::serve::ServeClient(ep).stats();
   const double cpu = process_tree_cpu_seconds(daemon->pid()) - cpu0;
-  daemon->stop();
+  const double daemon_peak_rss_mb = daemon->stop();
+  if (daemon_peak_rss_mb < 0) {
+    throw std::runtime_error("daemon did not report its peak RSS");
+  }
 
   double completed = 0;
   for (std::uint64_t i = 0; i < jobs; ++i) {
@@ -837,7 +850,7 @@ int run_serve(const Flags& flags, const std::string& self) {
   rep.values["cpu_s"] = completed > 0 ? cpu / completed : 0;
   rep.values["serve.jobs_rejected"] = double(stats.jobs_rejected);
   rep.values["serve.jobs_failed"] = double(stats.jobs_failed);
-  rep.values["peak_rss_mb"] = peak_rss_mb();
+  rep.values["peak_rss_mb"] = daemon_peak_rss_mb;
   rep.print();
   return 0;
 }

@@ -53,6 +53,17 @@ def build():
     return bdir, os.path.join(bdir, "perfbench_harness")
 
 
+def resolve(design, name):
+    """The workload's parameters, with "same_job_as" expanded: such a
+    workload takes the named one's instance, job and pinned hashes and
+    overrides only the job fields it lists."""
+    wl = design["workloads"][name]
+    base_name = wl.get("same_job_as", name)
+    base = design["workloads"][base_name]
+    wl = dict(wl, instance=base["instance"], job={**base["job"], **wl["job"]})
+    return wl, design["pinned_hashes"].get(base_name, {})
+
+
 def harness_args(wl, seed, seconds, trace, workdir):
     args = ["--seed", str(seed), "--trace", str(trace), "--workdir", workdir,
             "--setup-reps", str(wl["setup_reps"])]
@@ -61,14 +72,8 @@ def harness_args(wl, seed, seconds, trace, workdir):
         jobs = max(wl["min_jobs"], round(seconds / wl["nominal_job_s"]))
         args = ["batch"] + args + [
             "--algo", job["algo"], "--mu", str(job["mu"]),
-            "--shards", str(job["shards"]), "--eps", str(job.get("eps", 0)),
-            "--jobs", str(jobs), "--instance", inst["kind"]]
-        if inst["kind"] == "graph":
-            args += ["--n", str(inst["n"]), "--c", str(inst["c"])]
-        else:
-            args += ["--sets", str(inst["sets"]),
-                     "--universe", str(inst["universe"]),
-                     "--set-size", str(inst["set_size"])]
+            "--shards", str(job["shards"]), "--jobs", str(jobs),
+            "--n", str(inst["n"]), "--c", str(inst["c"])]
     else:
         g, s = inst["graph"], inst["sets"]
         mix = ",".join(f"{k}:{v}" for k, v in job["mix"].items())
@@ -167,13 +172,13 @@ def main():
         design = json.load(f)
     if a.workload not in design["workloads"]:
         raise RuntimeError(f"unknown workload {a.workload}")
-    wl = design["workloads"][a.workload]
+    wl, pinned = resolve(design, a.workload)
 
     bdir, exe = build()
     workdir = os.path.join(bdir, f"work-{a.workload}-{a.seed}-{os.getpid()}")
     os.makedirs(workdir, exist_ok=True)
     args = harness_args(wl, a.seed, a.seconds, a.trace, workdir)
-    pins = design["pinned_hashes"].get(a.workload, {}).get(str(a.seed), {})
+    pins = pinned.get(str(a.seed), {})
     for algo, h in pins.items():
         args += [f"--pin-{algo}", h]
     try:
