@@ -491,6 +491,14 @@ void add_trace_samples(const JobRun& run, Report& rep) {
   rep.add("self.jobs_s", run.job_s - run.read_s - rounds0);
 }
 
+/// How many of the --setup-reps set-up repetitions run after the timed
+/// window rather than before it. The host's speed drifts over seconds,
+/// so repetitions taken back to back would all sample one moment of it;
+/// splitting them samples two moments about a run apart.
+std::uint64_t setup_reps_after(const Flags& flags) {
+  return flags.u64("setup-reps") / 2;
+}
+
 // ------------------------------------------------------------- batch --
 
 int run_batch(const Flags& flags) {
@@ -505,12 +513,16 @@ int run_batch(const Flags& flags) {
   kind.params.num_shards = flags.u64("shards");
   const std::string path = dir + "/instance.mgb";
 
-  // Set-up: instance generation and file write, repeated so its median
-  // is steady; every repetition writes the same bytes.
-  for (std::uint64_t rep_ix = 0; rep_ix < flags.u64("setup-reps"); ++rep_ix) {
+  // Set-up: instance generation and file write; every repetition writes
+  // the same bytes.
+  auto set_up = [&] {
     const Clock::time_point t = Clock::now();
     write_graph_instance(flags.u64("n"), flags.f64("c"), seed, path);
     rep.add("setup_s", seconds_since(t));
+  };
+  const std::uint64_t reps_after = setup_reps_after(flags);
+  for (std::uint64_t i = reps_after; i < flags.u64("setup-reps"); ++i) {
+    set_up();
   }
 
   // Warm-up (untimed): fills the page cache and the allocator, and gives
@@ -550,6 +562,7 @@ int run_batch(const Flags& flags) {
     if (traced) add_trace_samples(run, rep);
   }
   rep.noise = noise.finish();
+  for (std::uint64_t i = 0; i < reps_after; ++i) set_up();
   rep.values["peak_rss_mb"] = peak_rss_mb();
   rep.print();
   return 0;
@@ -724,23 +737,23 @@ int run_serve(const Flags& flags, const std::string& self) {
   const std::string graph_path = dir + "/serve.mgb";
   const std::string sets_path = dir + "/serve.sets";
 
-  // The job mix: algorithm names and their draw weights. Each gets one
-  // spec, built in set-up.
+  // The job mix: algorithm names and their whole-number shares. Each gets
+  // one spec, built in set-up.
   std::vector<std::string> names;
-  std::vector<double> weights;
+  std::vector<std::uint64_t> shares;
   {
     std::istringstream mix(flags.str("mix"));
     std::string item;
     while (std::getline(mix, item, ',')) {
       const auto colon = item.find(':');
       names.push_back(item.substr(0, colon));
-      weights.push_back(std::stod(item.substr(colon + 1)));
+      shares.push_back(std::stoull(item.substr(colon + 1)));
     }
   }
+  // Set-up: instance generation and file write, instance read, spec
+  // build and daemon start. Returns the started daemon.
   std::vector<JobSpec> specs(names.size());
-  std::unique_ptr<DaemonProcess> daemon;
-  for (std::uint64_t rep_ix = 0; rep_ix < flags.u64("setup-reps"); ++rep_ix) {
-    daemon.reset();  // the previous repetition's daemon, outside timing
+  auto set_up = [&] {
     const Clock::time_point t = Clock::now();
     write_graph_instance(flags.u64("n"), flags.f64("c"), seed, graph_path);
     write_set_instance(flags.u64("sets"), flags.u64("universe"),
@@ -763,8 +776,16 @@ int run_serve(const Flags& flags, const std::string& self) {
         specs[k] = mrlr::jobs::graph_job(names[k], g, p);
       }
     }
-    daemon = std::make_unique<DaemonProcess>(self, flags.u64("max-running"));
+    auto daemon =
+        std::make_unique<DaemonProcess>(self, flags.u64("max-running"));
     rep.add("setup_s", seconds_since(t));
+    return daemon;
+  };
+  const std::uint64_t reps_after = setup_reps_after(flags);
+  std::unique_ptr<DaemonProcess> daemon;
+  for (std::uint64_t i = reps_after; i < flags.u64("setup-reps"); ++i) {
+    daemon.reset();  // the previous repetition's daemon, outside timing
+    daemon = set_up();
   }
 
   // Standalone references, and the spec decode each job costs the daemon.
@@ -781,19 +802,25 @@ int run_serve(const Flags& flags, const std::string& self) {
     }
   }
 
-  // The fixed schedule: Poisson arrivals and kinds, both from the seed.
+  // The fixed schedule: Poisson arrivals from the seed, and the kinds in
+  // exact proportion to their shares, in an order shuffled by the seed, so
+  // that every run has the same mix.
   const std::uint64_t jobs = flags.u64("jobs");
   std::mt19937_64 gen(seed ^ 0x5E12'7E0B'E4C4ull);
   std::exponential_distribution<double> gap(flags.f64("rate"));
-  std::discrete_distribution<std::size_t> pick(weights.begin(), weights.end());
+  std::vector<std::size_t> cycle;
+  for (std::size_t k = 0; k < names.size(); ++k) {
+    cycle.insert(cycle.end(), shares[k], k);
+  }
   std::vector<double> due_offset(jobs);
   std::vector<std::size_t> job_kind(jobs);
   double at = 0;
   for (std::uint64_t i = 0; i < jobs; ++i) {
     due_offset[i] = at;
-    job_kind[i] = pick(gen);
+    job_kind[i] = cycle[i % cycle.size()];
     at += gap(gen);
   }
+  std::shuffle(job_kind.begin(), job_kind.end(), gen);
 
   std::vector<ServeOutcome> outcomes(jobs);
   std::atomic<std::uint64_t> next{0};
@@ -825,6 +852,8 @@ int run_serve(const Flags& flags, const std::string& self) {
   if (daemon_peak_rss_mb < 0) {
     throw std::runtime_error("daemon did not report its peak RSS");
   }
+  // Each daemon is shut down as the statement ends, outside its timing.
+  for (std::uint64_t i = 0; i < reps_after; ++i) set_up();
 
   double completed = 0;
   for (std::uint64_t i = 0; i < jobs; ++i) {
@@ -839,6 +868,7 @@ int run_serve(const Flags& flags, const std::string& self) {
     }
     ++completed;
     rep.add("latency_s", o.latency);
+    rep.add("serve.latency_s." + names[job_kind[i]], o.latency);
     rep.add("rounds", o.rounds);
     rep.add("space_headroom", o.headroom);
     rep.add("serve.connect_s", o.connect);
