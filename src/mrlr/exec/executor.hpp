@@ -31,9 +31,11 @@ class ShardDataPlane {
   virtual ~ShardDataPlane() = default;
 
   /// Appends the wire encoding of machines [first, last) to `out`
-  /// (worker side, after the callbacks ran).
+  /// (worker side, after the callbacks ran). Consumes the staged frames:
+  /// the ones addressed inside [first, last) stay with the worker as its
+  /// share of the next round's inboxes.
   virtual void serialize_machines(std::uint64_t first, std::uint64_t last,
-                                  std::vector<std::byte>& out) const = 0;
+                                  std::vector<std::byte>& out) = 0;
 
   /// Installs the encoding produced by serialize_machines for the same
   /// range (coordinator side). Must validate `bytes` and throw

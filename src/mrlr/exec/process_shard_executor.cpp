@@ -176,7 +176,7 @@ void ProcessShardExecutor::start_job(std::uint64_t num_machines,
     try {
       LaunchedWorker lw = launcher->launch(s, nonce);
       workers_.push_back(Worker{lw.pid, std::move(lw.channel), s,
-                                ranges[s].first, ranges[s].second});
+                                ranges[s].first, ranges[s].second, {}});
       Worker& w = workers_.back();
       // A silent peer during handshake/bootstrap must fail typed, not
       // hang: arm the read timeout until the ack is in (fork-launched
@@ -265,7 +265,8 @@ void ProcessShardExecutor::run_job_round(std::uint64_t round_id,
   // runs below.
   std::uint64_t shipped = 0;
   for (Worker& w : workers_) {
-    std::vector<std::byte> payload;
+    std::vector<std::byte>& payload = w.round_input;
+    payload.clear();
     append_u64(payload, round_id);
     append_u64(payload, params.size());
     for (const std::uint64_t p : params) append_u64(payload, p);
@@ -297,24 +298,24 @@ void ProcessShardExecutor::run_job_round(std::uint64_t round_id,
   for (Worker& w : workers_) {
     try {
       const std::uint64_t wait_start = telemetry ? tel.now_ns() : 0;
-      Frame data = expect_frame(*w.channel, FrameKind::kShardData, w.shard,
-                                sequence);
+      expect_frame(*w.channel, reply_, FrameKind::kShardData, w.shard,
+                   sequence);
       if (telemetry) {
         tel.record_span(obs::Phase::kWorkerWait, wait_start, tel.now_ns(),
                         sequence - 1, "shard " + std::to_string(w.shard));
       }
-      plane->apply_machines(w.first, w.last, data.payload);
+      plane->apply_machines(w.first, w.last, reply_.payload);
       if (telemetry) {
         // The worker only sends its span buffer when the bootstrap's
         // telemetry flag was set, which is exactly when job_telemetry_
         // is: the protocol shape is deterministic on both ends.
-        Frame spans = expect_frame(*w.channel, FrameKind::kShardTelemetry,
-                                   w.shard, sequence);
-        tel.merge_remote(spans.payload, w.shard);
+        expect_frame(*w.channel, reply_, FrameKind::kShardTelemetry,
+                     w.shard, sequence);
+        tel.merge_remote(reply_.payload, w.shard);
       }
-      Frame status = expect_frame(*w.channel, FrameKind::kShardStatus,
-                                  w.shard, sequence);
-      std::span<const std::byte> p = status.payload;
+      expect_frame(*w.channel, reply_, FrameKind::kShardStatus, w.shard,
+                   sequence);
+      std::span<const std::byte> p = reply_.payload;
       if (p.size() < 16) {
         throw TransportError(TransportError::Kind::kBadPayload,
                              "process-shard: status frame shorter than "
@@ -396,6 +397,7 @@ void ProcessShardExecutor::end_job() {
     }
   }
   workers_.clear();
+  reply_ = Frame{};
   // The pool dies with the job: the next start_job forks its workers
   // before rebuilding it, keeping forks free of live pool threads.
   local_pool_.reset();

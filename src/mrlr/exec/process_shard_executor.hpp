@@ -21,11 +21,12 @@
 //     acknowledges before any round ships. Nothing crosses the process
 //     boundary implicitly —
 //     each round the coordinator ships a kRoundControl frame carrying
-//     the round id, the invoke parameters, and the serialized inboxes
-//     of the worker's machine range (ShardJobPlane::
-//     serialize_round_input), the worker runs its machines against its
-//     own resident copy of that range's state, and ships the staged
-//     arenas back through serialize_machines exactly as before. The
+//     the round id, the invoke parameters, and the inbox messages of
+//     the worker's machine range that came from outside it
+//     (ShardJobPlane::serialize_round_input). The worker runs its
+//     machines against its own resident copy of that range's state,
+//     keeps the messages they send each other, and ships the rest back
+//     with counts of the kept ones (serialize_machines). The
 //     coordinator applies each shard's bytes and the engine's ordinary
 //     id-ordered merge runs over the combined frame indexes — traces,
 //     metrics, and delivery order stay byte-identical to
@@ -116,6 +117,7 @@ class ProcessShardExecutor final : public Executor {
     std::unique_ptr<ShardChannel> channel;  // coordinator end
     std::uint32_t shard;
     std::uint64_t first, last;
+    std::vector<std::byte> round_input;  // reused every round
   };
 
   /// Marks the job failed, closes every channel (so a worker stuck
@@ -131,6 +133,9 @@ class ProcessShardExecutor final : public Executor {
 
   // Persistent-job state.
   std::vector<Worker> workers_;
+  // Every frame a worker sends back is read into this one buffer (they
+  // are handled one at a time), so steady-state rounds allocate nothing.
+  Frame reply_;
   // Shard 0's own pool (num_threads_ > 1 only); created at start_job
   // after every worker has forked and reset at end_job so the next
   // job's forks see no live threads.

@@ -2,6 +2,7 @@
 
 #include "mrlr/exec/shard_channel.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -148,7 +149,7 @@ void write_frame(ShardChannel& ch, FrameKind kind, std::uint32_t shard,
   obs::count("exec.wire_bytes_out", kHeaderBytes + payload.size());
 }
 
-Frame read_frame(ShardChannel& ch, std::uint64_t max_payload) {
+void read_frame(ShardChannel& ch, Frame& f, std::uint64_t max_payload) {
   std::byte header[kHeaderBytes];
   read_exact(ch, header, kHeaderBytes, "frame header");
 
@@ -191,16 +192,47 @@ Frame read_frame(ShardChannel& ch, std::uint64_t max_payload) {
                              std::to_string(max_payload));
   }
 
-  Frame f;
   f.kind = static_cast<FrameKind>(kind_raw);
   f.shard = get_u32(header + 8);
   f.sequence = get_u64(header + 16);
-  f.payload.resize(payload_len);
-  if (payload_len > 0) {
-    read_exact(ch, f.payload.data(), payload_len, "frame payload");
+  // The header's length is a claim, not a fact. Up to kReserveAhead of
+  // it is reserved at once, which costs address space but no memory
+  // until written, and bytes are made addressable (zero-filled) at most
+  // kTouchAhead ahead of what has arrived. A peer that announces a huge
+  // payload and stops therefore costs no memory; a payload that really
+  // arrives is allocated once, or regrown geometrically past the
+  // reservation. A buffer reused from a previous frame is not shrunk.
+  constexpr std::uint64_t kReserveAhead = std::uint64_t{64} << 20;
+  constexpr std::uint64_t kTouchAhead = std::uint64_t{1} << 20;
+  std::vector<std::byte>& buf = f.payload;
+  buf.clear();
+  if (buf.capacity() < payload_len) {
+    buf.reserve(static_cast<std::size_t>(
+        std::min(payload_len, std::max<std::uint64_t>(kReserveAhead,
+                                                      buf.capacity()))));
+  }
+  std::uint64_t got = 0;
+  while (got < payload_len) {
+    if (got == buf.size()) {
+      if (buf.size() == buf.capacity()) {
+        buf.reserve(static_cast<std::size_t>(
+            std::min(payload_len, 2 * std::uint64_t{buf.capacity()})));
+      }
+      buf.resize(static_cast<std::size_t>(std::min(
+          {payload_len, std::uint64_t{buf.capacity()}, got + kTouchAhead})));
+    }
+    const std::size_t r = ch.read_some(buf.data() + got, buf.size() - got);
+    if (r == 0) {
+      throw TransportError(
+          TransportError::Kind::kTruncated,
+          "shard transport: stream ended inside frame payload (" +
+              std::to_string(got) + " of " + std::to_string(payload_len) +
+              " bytes)");
+    }
+    got += r;
   }
   const std::uint64_t expected = get_u64(header + 32);
-  const std::uint64_t actual = frame_checksum(f.payload);
+  const std::uint64_t actual = frame_checksum(buf);
   if (expected != actual) {
     throw TransportError(TransportError::Kind::kBadChecksum,
                          "shard transport: frame checksum mismatch "
@@ -208,12 +240,18 @@ Frame read_frame(ShardChannel& ch, std::uint64_t max_payload) {
   }
   obs::count("exec.frames_received");
   obs::count("exec.wire_bytes_in", kHeaderBytes + payload_len);
+}
+
+Frame read_frame(ShardChannel& ch, std::uint64_t max_payload) {
+  Frame f;
+  read_frame(ch, f, max_payload);
   return f;
 }
 
-Frame expect_frame(ShardChannel& ch, FrameKind kind, std::uint32_t shard,
-                   std::uint64_t sequence, std::uint64_t max_payload) {
-  Frame f = read_frame(ch, max_payload);
+void expect_frame(ShardChannel& ch, Frame& f, FrameKind kind,
+                  std::uint32_t shard, std::uint64_t sequence,
+                  std::uint64_t max_payload) {
+  read_frame(ch, f, max_payload);
   if (f.kind != kind || f.shard != shard || f.sequence != sequence) {
     throw TransportError(
         TransportError::Kind::kUnexpected,
@@ -225,6 +263,12 @@ Frame expect_frame(ShardChannel& ch, FrameKind kind, std::uint32_t shard,
             std::to_string(shard) + ", seq " + std::to_string(sequence) +
             ") — reordered or misrouted");
   }
+}
+
+Frame expect_frame(ShardChannel& ch, FrameKind kind, std::uint32_t shard,
+                   std::uint64_t sequence, std::uint64_t max_payload) {
+  Frame f;
+  expect_frame(ch, f, kind, shard, sequence, max_payload);
   return f;
 }
 

@@ -15,7 +15,7 @@
 //
 //       offset  size  field
 //       0       4     magic     0x3146534D ("MSF1")
-//       4       2     version   1
+//       4       2     version   kFrameVersion
 //       6       2     kind      FrameKind
 //       8       4     shard     sender shard index
 //       12      4     reserved  must be zero
@@ -156,13 +156,17 @@ std::pair<FdChannel, FdChannel> make_socketpair_channel();
 // ------------------------------------------------------------ frames --
 
 inline constexpr std::uint32_t kFrameMagic = 0x3146534Du;  // "MSF1"
-/// Version 2 is the handshake era: every channel (fork socketpair or
+/// Version 2 was the handshake era: every channel (fork socketpair or
 /// TCP) opens with an explicit hello/ack handshake (see
 /// shard_channel.hpp) and kJobSetup carries the full wire bootstrap
 /// (machine range, round-label table, optional job spec) instead of a
-/// bare range quadruple. A version-1 peer is refused during the
-/// handshake with a typed error naming both versions.
-inline constexpr std::uint16_t kFrameVersion = 2;
+/// bare range quadruple. Version 3 keeps all of that and changes the
+/// kRoundControl and kShardData payloads to the run-encoded layouts of
+/// the engine's job plane (docs/ARCHITECTURE.md, "Frame kinds"), under
+/// which intra-shard messages stay resident on their worker. A peer on
+/// any other version is refused during the handshake with a typed error
+/// naming both versions.
+inline constexpr std::uint16_t kFrameVersion = 3;
 
 /// Sanity cap on a single frame payload (1 TiB of words is far beyond
 /// any simulated round): an adversarial or corrupt length field fails
@@ -170,7 +174,10 @@ inline constexpr std::uint16_t kFrameVersion = 2;
 inline constexpr std::uint64_t kMaxFramePayload = 1ull << 40;
 
 enum class FrameKind : std::uint16_t {
-  kShardData = 1,       ///< serialized per-machine staging arenas
+  kShardData = 1,       ///< worker -> coordinator, once per round: the
+                        ///< run-encoded messages its machines sent
+                        ///< outside its range, plus per-destination
+                        ///< counts of the ones it keeps resident
   kShardStatus = 2,     ///< worker round status (ok / callback exception)
   kShardTelemetry = 3,  ///< worker span/counter buffer (obs::Telemetry
                         ///< wire encoding); sent between data and status
@@ -185,10 +192,11 @@ enum class FrameKind : std::uint16_t {
                         ///< the coordinator's before serving rounds
   kRoundControl = 5,    ///< coordinator -> worker, once per registered
                         ///< round: round id, invoke parameters, and the
-                        ///< serialized inbox state for the worker's
-                        ///< machine range (the worker holds no
-                        ///< coordinator memory after setup, so every
-                        ///< round's inputs arrive on the wire)
+                        ///< run-encoded inbox messages of the worker's
+                        ///< machine range that came from outside it
+                        ///< (the worker holds no coordinator memory
+                        ///< after setup; the rest of each inbox is the
+                        ///< worker's own resident frames)
   kJobTeardown = 6,     ///< coordinator -> worker: the job is over;
                         ///< the worker exits cleanly
   kBootstrapAck = 7,    ///< worker -> coordinator, once per job
@@ -243,6 +251,17 @@ std::uint64_t frame_checksum(std::span<const std::byte> payload);
 void append_u64(std::vector<std::byte>& out, std::uint64_t v);
 std::uint64_t read_u64(std::span<const std::byte> in, std::size_t offset);
 
+/// LEB128 varint append (7 bits per byte, low group first, high bit =
+/// more follows): 1 byte below 128, at most 10. The engine's run-encoded
+/// job-plane payloads use it for every count, id and frame length.
+inline void append_varint(std::vector<std::byte>& out, std::uint64_t v) {
+  while (v >= 0x80) {
+    out.push_back(static_cast<std::byte>(v | 0x80));
+    v >>= 7;
+  }
+  out.push_back(static_cast<std::byte>(v));
+}
+
 void write_frame(ShardChannel& ch, FrameKind kind, std::uint32_t shard,
                  std::uint64_t sequence, std::span<const std::byte> payload);
 
@@ -251,6 +270,14 @@ void write_frame(ShardChannel& ch, FrameKind kind, std::uint32_t shard,
 Frame read_frame(ShardChannel& ch,
                  std::uint64_t max_payload = kMaxFramePayload);
 
+/// read_frame into `into`, reusing its payload buffer: a steady-state
+/// round loop that reads every frame into the same Frame allocates
+/// nothing. Payload memory is touched only as bytes arrive (at most
+/// 1 MiB ahead of them), so a header claiming a huge payload followed
+/// by nothing costs no memory before it fails typed.
+void read_frame(ShardChannel& ch, Frame& into,
+                std::uint64_t max_payload = kMaxFramePayload);
+
 /// read_frame + protocol-position validation: the frame must have
 /// exactly this kind, shard, and sequence, else TransportError
 /// (kUnexpected) — a reordered, replayed, or misrouted frame never
@@ -258,5 +285,10 @@ Frame read_frame(ShardChannel& ch,
 Frame expect_frame(ShardChannel& ch, FrameKind kind, std::uint32_t shard,
                    std::uint64_t sequence,
                    std::uint64_t max_payload = kMaxFramePayload);
+
+/// expect_frame into a reused Frame (see the read_frame overload).
+void expect_frame(ShardChannel& ch, Frame& into, FrameKind kind,
+                  std::uint32_t shard, std::uint64_t sequence,
+                  std::uint64_t max_payload = kMaxFramePayload);
 
 }  // namespace mrlr::exec

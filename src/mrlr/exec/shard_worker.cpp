@@ -225,8 +225,14 @@ void serve_job_rounds(ShardChannel& ch, std::uint32_t shard,
         static_cast<unsigned>(b.threads));
   }
 
+  // Frame and payload buffers live across rounds: steady-state rounds
+  // reuse their capacity instead of allocating per round.
+  Frame frame;
+  std::vector<std::uint64_t> params;
+  std::vector<std::byte> bytes;
+  std::vector<std::byte> status;
   for (;;) {
-    Frame frame = read_frame(ch);
+    read_frame(ch, frame);
     if (frame.kind == FrameKind::kJobTeardown) return;
     if (frame.kind != FrameKind::kRoundControl || frame.shard != shard) {
       throw TransportError(
@@ -258,7 +264,7 @@ void serve_job_rounds(ShardChannel& ch, std::uint32_t shard,
     }
     // Frame payloads have no alignment guarantee; params are tiny, so
     // copy them into an aligned buffer instead of aliasing bytes.
-    std::vector<std::uint64_t> params(param_count);
+    params.resize(param_count);
     for (std::uint64_t i = 0; i < param_count; ++i) {
       params[i] = read_u64(p, i * 8);
     }
@@ -294,7 +300,7 @@ void serve_job_rounds(ShardChannel& ch, std::uint32_t shard,
                           std::to_string(last) + ")");
     }
 
-    std::vector<std::byte> bytes;
+    bytes.clear();
     t0 = telemetry ? tel.now_ns() : 0;
     plane.serialize_machines(first, last, bytes);
     if (telemetry) {
@@ -314,7 +320,7 @@ void serve_job_rounds(ShardChannel& ch, std::uint32_t shard,
                   tel.serialize_since(tel_mark));
     }
 
-    std::vector<std::byte> status;
+    status.clear();
     append_u64(status, failed ? 1 : 0);
     append_u64(status, error_machine);
     append_bytes(status, error_what.data(), error_what.size());

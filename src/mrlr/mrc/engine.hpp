@@ -16,9 +16,11 @@
 // backend runs them concurrently (Topology::num_threads), and the
 // process-sharded backend (Topology::num_shards) runs them in
 // persistent worker processes spawned once per job; each round the
-// engine ships every worker its machines' inboxes and the workers ship
-// their staged arenas back through the engine's ShardJobPlane
-// implementation. Either way the
+// engine ships every worker the inbox messages its machines receive
+// from outside its range, and the workers ship back the messages that
+// leave it, through the engine's ShardJobPlane implementation (a
+// worker keeps the messages its machines send each other, and the
+// coordinator sees only their counts). Either way the
 // simulation is deterministic: each machine's sends append only to its
 // own staging arena, and staged messages are merged into next-round
 // inboxes in machine-id order after the round barrier, so traces,
@@ -79,6 +81,20 @@ class SpaceLimitExceeded : public std::runtime_error {
                      std::uint64_t cap);
   std::uint64_t words;
   std::uint64_t cap;
+};
+
+/// Thrown by the coordinator when asked for message payloads that live
+/// only in a worker process: under the process backend a worker keeps
+/// the messages its machines send to each other, so the coordinator
+/// holds only their counts. pending_inbox / inbox() of a worker-owned
+/// machine throw it rather than return a partial list, and so does a
+/// job round after an earlier round of the job stopped before delivery
+/// (the worker-resident half of the undelivered inboxes cannot be
+/// rebuilt). `machine` is the machine asked for.
+class RemoteInboxError : public std::runtime_error {
+ public:
+  RemoteInboxError(std::string what, std::uint64_t machine);
+  std::uint64_t machine;
 };
 
 class Engine;
@@ -187,7 +203,8 @@ class MachineContext {
   MessageView message(std::size_t i) const;
 
   /// Compatibility shim: the inbox as owning Message objects,
-  /// materialized (and cached) on demand. Prefer messages().
+  /// materialized (and cached) on demand. Prefer messages(). Throws
+  /// RemoteInboxError on a coordinator for a worker-owned machine.
   const std::vector<Message>& inbox() const;
 
   /// Total words in the inbox (precomputed; O(1)).
@@ -324,7 +341,9 @@ class Engine : private exec::ShardJobPlane {
   /// will receive next round (testing only; materialized on demand).
   /// Non-empty only after a round that threw SpaceLimitExceeded, since
   /// delivery otherwise completes within run_round. Throws
-  /// std::out_of_range for machine ids outside [0, num_machines()).
+  /// std::out_of_range for machine ids outside [0, num_machines()), and
+  /// RemoteInboxError for a machine whose callbacks run in a worker
+  /// process (part of its pending inbox may be resident there).
   const std::vector<Message>& pending_inbox(MachineId m) const;
 
  private:
@@ -332,25 +351,32 @@ class Engine : private exec::ShardJobPlane {
   friend class MessageWriter;
   friend class InboxView;
 
-  /// ShardDataPlane: wire encoding of machines [first, last) for the
-  /// process-sharded backend — per machine, the accounting slots
-  /// (outbox words, resident words, writer-open flag) followed by the
-  /// staged frame index and the arena word buffer verbatim (the flat
-  /// slab layout already is a wire format). apply_machines validates
-  /// every field and throws exec::TransportError(kBadPayload) on
-  /// malformed bytes; after it installs a shard, the ordinary
-  /// id-ordered merge in run_round proceeds unchanged.
+  /// ShardDataPlane / ShardJobPlane: the run-encoded shard wire of the
+  /// process backend (layouts in docs/ARCHITECTURE.md, "Frame kinds").
+  /// A worker keeps the frames its machines send inside its own range
+  /// [first, last) and ships the coordinator only their per-destination
+  /// frame and word counts; every other frame crosses the wire once, as
+  /// (peer, frame count, word count, frame lengths, words) runs.
+  ///
+  /// serialize_machines (worker, after the callbacks): per machine the
+  /// accounting slots and the runs to destinations outside the range,
+  /// then the resident counts. The resident frames move into next_frames_
+  /// as this worker's half of the next inbox. apply_machines
+  /// (coordinator): installs the runs as the machines' staged frames and
+  /// folds the resident counts into the next inbox totals, so the audit,
+  /// metrics and inbox_words / inbox_size peeks see every message.
   void serialize_machines(std::uint64_t first, std::uint64_t last,
-                          std::vector<std::byte>& out) const override;
+                          std::vector<std::byte>& out) override;
   void apply_machines(std::uint64_t first, std::uint64_t last,
                       std::span<const std::byte> bytes) override;
 
-  /// ShardJobPlane: per-round inbox shipping for persistent workers —
-  /// per machine, the delivered word total and frame count, then each
-  /// message as (sender, length, payload words). apply_round_input
-  /// rebuilds the worker-local inbox index and slabs from the bytes and
-  /// resets the range's per-round scratch; it validates every field and
-  /// throws exec::TransportError(kBadPayload) on malformed bytes.
+  /// serialize_round_input (coordinator): whether the current inbox
+  /// holds the frames the workers kept last round (a central round in
+  /// between consumed them), then per machine the inbox totals and the
+  /// runs from senders outside the range. apply_round_input (worker):
+  /// rebuilds each inbox in sender-id order from the shipped runs and
+  /// the resident frames. Both decoders validate every field and throw
+  /// exec::TransportError(kBadPayload) on malformed bytes.
   void serialize_round_input(std::uint64_t first, std::uint64_t last,
                              std::vector<std::byte>& out) const override;
   void apply_round_input(std::uint64_t first, std::uint64_t last,
@@ -365,6 +391,8 @@ class Engine : private exec::ShardJobPlane {
   }
 
   void check_machine_id(MachineId m, const char* what) const;
+  /// Throws RemoteInboxError when m's messages live in a worker process.
+  void check_local(MachineId m, const char* what) const;
 
   /// Shared body of run_round / run_central_round. `central_only`
   /// rounds skip the shard data plane: only the coordinator-resident
@@ -442,11 +470,31 @@ class Engine : private exec::ShardJobPlane {
   std::vector<Outbox> slabs_;
   // inbox_frames_[m] = this round's messages for machine m, in
   // (sender id, send order) order; words live in slabs_.
+  // On a worker only its own range's indexes are filled; on the
+  // coordinator a worker-owned machine's index lists only the frames
+  // that crossed the wire.
   std::vector<std::vector<InboxFrame>> inbox_frames_;
   std::vector<std::uint64_t> inbox_words_;  // per-destination totals
-  // Merge scratch for the next round's inbox index.
+  // Merge scratch for the next round's inbox index. On a worker it holds
+  // the resident frames its machines sent each other, in sender order.
   std::vector<std::vector<InboxFrame>> next_frames_;
   std::vector<std::uint64_t> next_inbox_words_;
+  // Coordinator: frames of each inbox (current / next) that are resident
+  // on a worker and so absent from inbox_frames_ / next_frames_.
+  std::vector<std::uint64_t> inbox_resident_frames_;
+  std::vector<std::uint64_t> next_resident_frames_;
+  // Coordinator: remote_[m] = machine m runs in a worker process (its
+  // staged frames arrived through apply_machines).
+  std::vector<char> remote_;
+  // Coordinator: this round's staged data came from workers, which now
+  // hold resident frames for the next inbox; after delivery,
+  // resident_live_ says whether the current inbox includes them.
+  bool resident_pending_ = false;
+  bool resident_live_ = false;
+  // A round is between its start and its delivery; a round that found
+  // the previous one still open sets delivery_skipped_ for good.
+  bool round_open_ = false;
+  bool delivery_skipped_ = false;
   // writer_open_[m] = machine m has a live MessageWriter (its frame is
   // still growing, so no other send may interleave).
   std::vector<char> writer_open_;

@@ -334,6 +334,17 @@ TEST(Engine, InboxPeekMatchesDeliveryAndIsBoundsChecked) {
         "fanout", [](MachineContext& ctx, std::span<const Word>) {
           ctx.send(2, {ctx.id(), ctx.id()});
           if (ctx.id() == 5) ctx.send(0, {1, 2, 3});
+          // Machine 4's whole inbox comes from machines 3 and 5, which
+          // share its worker at K=2: it never crosses the wire there.
+          if (ctx.id() == 3 || ctx.id() == 5) ctx.send(4, {7});
+          if (ctx.id() == 5) ctx.send(4, {8, 9});
+        });
+    // Each machine reports what its callback saw to the central machine,
+    // which runs coordinator-side under every backend.
+    const mrc::RoundId r_report = e.define_round(
+        "report", [](MachineContext& ctx, std::span<const Word>) {
+          ctx.send(mrc::kCentral,
+                   {ctx.id(), ctx.inbox_size(), ctx.inbox_words()});
         });
     e.invoke_round(r);
     // Control-plane peek between rounds: the merged coordinator view.
@@ -342,9 +353,356 @@ TEST(Engine, InboxPeekMatchesDeliveryAndIsBoundsChecked) {
     EXPECT_EQ(e.inbox_words(0), 3u) << "shards=" << shards;
     EXPECT_EQ(e.inbox_size(0), 1u) << "shards=" << shards;
     EXPECT_EQ(e.inbox_words(1), 0u) << "shards=" << shards;
+    EXPECT_EQ(e.inbox_words(4), 4u) << "shards=" << shards;
+    EXPECT_EQ(e.inbox_size(4), 3u) << "shards=" << shards;
     EXPECT_THROW((void)e.inbox_words(6), std::out_of_range);
     EXPECT_THROW((void)e.inbox_size(6), std::out_of_range);
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> peeked;
+    for (MachineId m = 0; m < 6; ++m) {
+      peeked.emplace_back(e.inbox_size(m), e.inbox_words(m));
+    }
+    e.invoke_round(r_report);
+    e.run_central_round("check", [&](MachineContext& ctx) {
+      ASSERT_EQ(ctx.inbox_size(), 6u);
+      for (const mrc::MessageView msg : ctx.messages()) {
+        ASSERT_EQ(msg.payload.size(), 3u);
+        const auto m = static_cast<std::size_t>(msg.payload[0]);
+        EXPECT_EQ(peeked[m].first, msg.payload[1])
+            << "machine " << m << " shards=" << shards;
+        EXPECT_EQ(peeked[m].second, msg.payload[2])
+            << "machine " << m << " shards=" << shards;
+      }
+    });
   }
+}
+
+/// Sends every message path the process backend distinguishes, from
+/// machine `m` of `count` under salt `k`: a self-send and a neighbour
+/// send (usually to the same shard, so resident on a worker), a run of
+/// two frames to one destination, a send half the machines away (shard
+/// 0 to a worker, worker to worker through the coordinator, or worker
+/// to shard 0), a send to the central machine, an empty frame, a
+/// cancelled MessageWriter and a writer that commits.
+void send_every_path(MachineContext& ctx, MachineId count, Word k) {
+  const MachineId m = ctx.id();
+  const auto at = [&](std::uint64_t off) {
+    return static_cast<MachineId>((m + off) % count);
+  };
+  ctx.send(m, {m, k});
+  ctx.send(at(1), {m, 1, k});
+  ctx.send(at(1), {m, 2});
+  ctx.send(at(count / 2 + k), {m, 3, 3, k});
+  ctx.send(mrc::kCentral, {m, 4});
+  ctx.send_batch(at(2 + k), {});
+  {
+    mrc::MessageWriter w = ctx.begin_message(at(3));
+    w.push(99);
+    w.push(98);
+    w.cancel();
+  }
+  ctx.send(at(3), {m, 5});
+  {
+    mrc::MessageWriter w = ctx.begin_message(at(count - 1));
+    for (Word i = 0; i <= (m + k) % 4; ++i) w.push(m * 100 + i);
+  }
+}
+
+/// A job that alternates registered rounds with central rounds and logs
+/// every inbox every machine sees, in delivery order. Non-central
+/// machines ship their inbox to the central machine, which runs
+/// coordinator-side under every backend and appends what it receives
+/// (and its own inbox) to the log.
+std::string run_residency(std::shared_ptr<exec::Executor> ex,
+                          std::uint64_t machines) {
+  mrc::Engine e(topo(machines), std::move(ex));
+  const auto count = static_cast<MachineId>(machines);
+  std::ostringstream log;
+  const auto log_inbox = [&](MachineId who, const mrc::InboxView& in) {
+    log << who << ":";
+    for (const mrc::MessageView msg : in) {
+      log << " " << msg.from << "[";
+      for (const Word w : msg.payload) log << w << ",";
+      log << "]";
+    }
+    log << "\n";
+  };
+  const auto ship_inbox = [](MachineContext& ctx) {
+    mrc::MessageWriter w = ctx.begin_message(mrc::kCentral);
+    w.push(ctx.id());
+    for (const mrc::MessageView msg : ctx.messages()) {
+      w.push(msg.from);
+      w.push(msg.payload.size());
+      w.append(msg.payload);
+    }
+  };
+  // Round parameter 0: observe only; otherwise also send on every path
+  // with that salt.
+  const mrc::RoundId r_step = e.define_round(
+      "step", [&](MachineContext& ctx, std::span<const Word> ps) {
+        if (ctx.is_central()) {
+          log_inbox(ctx.id(), ctx.messages());
+        } else {
+          ship_inbox(ctx);
+        }
+        if (ps[0] != 0) send_every_path(ctx, count, ps[0]);
+      });
+  const auto central = [&](const char* label, bool send) {
+    e.run_central_round(label, [&](MachineContext& ctx) {
+      log_inbox(ctx.id(), ctx.messages());
+      if (!send) return;
+      for (MachineId to = 0; to < count; ++to) {
+        if (to % 3 != 1) ctx.send(to, {to, 77});
+      }
+    });
+  };
+  e.invoke_round(r_step, {Word{1}});  // first round: nothing resident yet
+  e.invoke_round(r_step, {Word{2}});  // resident frames of round 1 live
+  central("c1", /*send=*/true);       // consumes round 2's resident frames
+  e.invoke_round(r_step, {Word{3}});  // inbox: central's sends only
+  e.invoke_round(r_step, {Word{0}});
+  central("c2", /*send=*/false);
+  mrc::write_trace_csv(e.metrics(), log);
+  return log.str();
+}
+
+TEST(EngineDeterminism, ResidentInboxesIdenticalAcrossShardCounts) {
+  // 12 machines give every worker shard at least 3 machines at K <= 4,
+  // so every path of send_every_path is taken: resident on a worker,
+  // shard 0 to a worker, worker to worker through the coordinator, and
+  // worker to the central machine.
+  for (const std::uint64_t machines : {8ull, 12ull}) {
+    const std::string serial =
+        run_residency(std::make_shared<exec::SerialExecutor>(), machines);
+    EXPECT_EQ(serial,
+              run_residency(std::make_shared<ReverseExecutor>(), machines));
+    for (const unsigned shards : {2u, 3u, 4u}) {
+      EXPECT_EQ(serial, run_residency(
+                            std::make_shared<exec::ProcessShardExecutor>(
+                                shards),
+                            machines))
+          << "machines=" << machines << " shards=" << shards;
+    }
+    EXPECT_EQ(serial,
+              run_residency(std::make_shared<exec::ProcessShardExecutor>(
+                                3, /*num_threads=*/2),
+                            machines))
+        << "machines=" << machines << " shards=3 threads=2";
+  }
+}
+
+TEST(EngineDeterminism, ResidentFramesAreCountedNotShipped) {
+  // At K=2 over 8 machines the worker owns [4, 8): every message among
+  // those machines stays on the worker, and the counters say how many.
+  obs::Telemetry& tel = obs::Telemetry::instance();
+  tel.clear();
+  tel.enable();
+  {
+    mrc::Engine e(topo(8), std::make_shared<exec::ProcessShardExecutor>(2));
+    const mrc::RoundId r = e.define_round(
+        "ring", [](MachineContext& ctx, std::span<const Word>) {
+          if (ctx.id() >= 4) {
+            ctx.send(static_cast<MachineId>(4 + (ctx.id() + 1) % 4),
+                     {ctx.id(), 1, 2});
+          }
+        });
+    e.invoke_round(r);
+    e.invoke_round(r);
+  }
+  tel.disable();
+  const obs::TelemetrySnapshot snap = tel.snapshot();
+  tel.clear();
+  ASSERT_EQ(snap.counters.count("exec.resident_frames"), 1u);
+  EXPECT_EQ(snap.counters.at("exec.resident_frames"), 8u);
+  EXPECT_EQ(snap.counters.at("exec.resident_words"), 24u);
+}
+
+TEST(EngineDeterminism, SpaceAuditNamesResidentOnlyOffender) {
+  // Cap 10. Machines 4, 5 and 6 each send machine 5 four words; machines
+  // 0..3 each send machine 7 three words. Both inboxes (12 words) blow
+  // the cap in the next round; machine 5 is the lowest-id offender, and
+  // at K=2 its whole inbox is resident on the worker owning [4, 8), so
+  // the coordinator must name it from the shipped counts alone.
+  auto run = [](std::shared_ptr<exec::Executor> ex, bool sharded) {
+    mrc::Engine e(topo(8, /*cap=*/10), std::move(ex));
+    const mrc::RoundId r_send = e.define_round(
+        "send", [](MachineContext& ctx, std::span<const Word>) {
+          if (ctx.id() >= 4 && ctx.id() <= 6) ctx.send(5, {1, 2, 3, 4});
+          if (ctx.id() <= 3) ctx.send(7, {1, 2, 3});
+        });
+    const mrc::RoundId r_read = e.define_round(
+        "read", [](MachineContext&, std::span<const Word>) {});
+    e.invoke_round(r_send);
+    std::string what = "<no throw>";
+    try {
+      e.invoke_round(r_read);
+    } catch (const mrc::SpaceLimitExceeded& ex_caught) {
+      EXPECT_EQ(ex_caught.words, 12u);
+      what = ex_caught.what();
+    }
+    if (sharded) {
+      // The worker keeps machine 5's messages: no partial list here, and
+      // no further job round once a round stopped before delivery.
+      EXPECT_THROW((void)e.pending_inbox(5), mrc::RemoteInboxError);
+      EXPECT_NO_THROW((void)e.pending_inbox(0));
+      try {
+        e.invoke_round(r_read);
+        ADD_FAILURE() << "expected RemoteInboxError";
+      } catch (const mrc::RemoteInboxError& err) {
+        EXPECT_NE(std::string(err.what()).find("restart the job"),
+                  std::string::npos)
+            << err.what();
+      }
+    }
+    return what;
+  };
+  const std::string serial =
+      run(std::make_shared<exec::SerialExecutor>(), false);
+  EXPECT_NE(serial.find("machine 5 used 12 words in round 'read'"),
+            std::string::npos)
+      << serial;
+  for (const unsigned shards : {2u, 3u, 4u}) {
+    EXPECT_EQ(serial,
+              run(std::make_shared<exec::ProcessShardExecutor>(shards), true))
+        << "shards=" << shards;
+  }
+}
+
+// ------------------------------------------------ shard wire decoders --
+
+/// Runs every machine serially and hands the engine's job plane to the
+/// test, which then feeds its decoders hand-made payloads.
+class PlaneCapture final : public exec::Executor {
+ public:
+  void run_machines(std::uint64_t first, std::uint64_t last,
+                    const MachineFn& fn) override {
+    for (std::uint64_t m = first; m < last; ++m) fn(m);
+  }
+  void start_job(std::uint64_t, exec::ShardJobPlane* plane) override {
+    plane_ = plane;
+  }
+  std::string_view name() const override { return "plane-capture"; }
+  unsigned num_threads() const override { return 1; }
+
+  exec::ShardJobPlane* plane_ = nullptr;
+};
+
+/// Assembles run-encoded payloads: varints and raw words.
+struct Wire {
+  std::vector<std::byte> bytes;
+  Wire& v(std::uint64_t x) {
+    exec::append_varint(bytes, x);
+    return *this;
+  }
+  Wire& words(std::initializer_list<Word> ws) {
+    for (const Word w : ws) exec::append_u64(bytes, w);
+    return *this;
+  }
+  Wire& raw(std::initializer_list<unsigned> bs) {
+    for (const unsigned b : bs) bytes.push_back(static_cast<std::byte>(b));
+    return *this;
+  }
+};
+
+/// Expects `apply` to throw TransportError(kBadPayload) whose message
+/// contains `needle`.
+template <typename Apply>
+void expect_bad_payload(Apply&& apply, const std::string& needle) {
+  try {
+    apply();
+    ADD_FAILURE() << "expected kBadPayload mentioning \"" << needle << "\"";
+  } catch (const exec::TransportError& e) {
+    EXPECT_EQ(e.kind, exec::TransportError::Kind::kBadPayload) << e.what();
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ShardWire, DecodersRoundTripAndRejectMalformedRuns) {
+  auto capture = std::make_shared<PlaneCapture>();
+  mrc::Engine e(topo(8), capture);
+  const mrc::RoundId r = e.define_round(
+      "noop", [](MachineContext&, std::span<const Word>) {});
+  e.invoke_round(r);
+  exec::ShardJobPlane& plane = *capture->plane_;
+
+  // Worker [6, 8) -> coordinator. Machine 6 sent two frames (2 words, 0
+  // words) to machine 1 and one word to machine 7 (resident); machine 7
+  // sent nothing.
+  const auto machines = [](std::uint64_t runs) {
+    Wire w;
+    w.v(3).v(0).v(0).v(runs);
+    return w;
+  };
+  {
+    Wire ok = machines(1);
+    ok.v(1).v(2).v(2).v(2).v(0).words({5, 6});
+    ok.v(0).v(0).v(0).v(0);  // machine 7: no words, no runs
+    ok.v(1).v(7).v(1).v(1);  // resident: machine 7, 1 frame, 1 word
+    EXPECT_NO_THROW(plane.apply_machines(6, 8, ok.bytes));
+  }
+  const auto apply = [&](const Wire& w) {
+    return [&plane, bytes = w.bytes] { plane.apply_machines(6, 8, bytes); };
+  };
+  // A run header cut off inside a varint.
+  expect_bad_payload(apply(machines(1).v(1).raw({0x80, 0x80, 0x80})),
+                     "truncated reading run frame count");
+  // Run and frame counts no payload could back.
+  expect_bad_payload(apply(machines(std::uint64_t{1} << 60).v(0).v(0).v(0)),
+                     "run count");
+  expect_bad_payload(apply(machines(1).v(1).v(1000).v(0).v(0)),
+                     "run frame count");
+  // Frame lengths summing past the run's words.
+  expect_bad_payload(
+      apply(machines(1).v(1).v(2).v(1).v(1).v(1).words({5})),
+      "frame lengths sum past");
+  // A run to a machine of the sender's own shard must have stayed there.
+  expect_bad_payload(apply(machines(1).v(7).v(1).v(1).v(1).words({5})),
+                     "inside its own shard's range");
+  // A resident count for a machine outside the sending shard.
+  {
+    Wire w = machines(0);
+    w.v(0).v(0).v(0).v(0);
+    w.v(1).v(2).v(1).v(3);
+    expect_bad_payload(apply(w), "outside the sending shard's range");
+  }
+
+  // Coordinator -> worker [6, 8): resident flag, then per machine the
+  // inbox totals and the runs from senders outside the range.
+  const auto inbox = [](std::uint64_t words, std::uint64_t frames,
+                        std::uint64_t runs) {
+    Wire w;
+    w.v(0).v(words).v(frames).v(runs);
+    return w;
+  };
+  {
+    Wire ok = inbox(3, 2, 1);
+    ok.v(1).v(2).v(3).v(3).v(0).words({5, 6, 7});
+    ok.v(0).v(0).v(0);  // machine 7: empty inbox
+    EXPECT_NO_THROW(plane.apply_round_input(6, 8, ok.bytes));
+  }
+  const auto input = [&](const Wire& w) {
+    return [&plane, bytes = w.bytes] {
+      plane.apply_round_input(6, 8, bytes);
+    };
+  };
+  expect_bad_payload(input(inbox(3, 2, 1).v(1).raw({0x80, 0x80, 0x80})),
+                     "truncated reading run frame count");
+  expect_bad_payload(
+      input(inbox(0, 0, std::uint64_t{1} << 60).v(0).v(0).v(0)),
+      "run count");
+  expect_bad_payload(input(inbox(1, 1, 1).v(1).v(1000).v(1).v(1)),
+                     "run frame count");
+  expect_bad_payload(
+      input(inbox(1, 2, 1).v(1).v(2).v(1).v(1).v(1).words({5})),
+      "frame lengths sum past");
+  // A sender inside the receiving shard's range is never shipped: its
+  // frames are the worker's own resident ones.
+  expect_bad_payload(input(inbox(1, 1, 1).v(6).v(1).v(1).v(1).words({5})),
+                     "inside the receiving shard's range");
+  // Totals that disagree with the messages.
+  expect_bad_payload(
+      input(inbox(2, 1, 1).v(1).v(1).v(1).v(1).words({5}).v(0).v(0).v(0)),
+      "do not match");
 }
 
 // ------------------------------------------- process worker failure --

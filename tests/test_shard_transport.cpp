@@ -7,8 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <fstream>
+#include <string>
 #include <thread>
 #include <vector>
+
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include "mrlr/exec/shard_transport.hpp"
 
@@ -229,6 +234,79 @@ TEST(FrameRead, OversizedLengthRejectedBeforeAllocation) {
   } catch (const TransportError& e) {
     EXPECT_EQ(e.kind, TransportError::Kind::kBadLength);
   }
+}
+
+/// Peak resident set (VmHWM) of this process in KiB, or -1 if unknown.
+long peak_rss_kib() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) return std::stol(line.substr(6));
+  }
+  return -1;
+}
+
+/// A 40-byte header announcing a 512 MiB payload, then end of stream.
+MemChannel header_claiming_512mib() {
+  MemChannel ch;
+  write_frame(ch, FrameKind::kJobSubmit, 0, 1, bytes_of({1}));
+  const std::uint64_t claim = std::uint64_t{512} << 20;
+  std::memcpy(ch.buffer().data() + 24, &claim, 8);
+  ch.truncate_to(40);
+  return ch;
+}
+
+TEST(FrameRead, HugeClaimedPayloadCostsNoMemoryBeforeItArrives) {
+  MemChannel ch = header_claiming_512mib();
+  try {
+    (void)read_frame(ch);
+    FAIL() << "expected TransportError";
+  } catch (const TransportError& e) {
+    EXPECT_EQ(e.kind, TransportError::Kind::kTruncated);
+    EXPECT_NE(std::string(e.what()).find("payload"), std::string::npos);
+  }
+  // The same read in a fresh child, where the peak resident set starts
+  // near this test's footprint: it must barely move (exit 0), not grow
+  // by the claimed 512 MiB.
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    MemChannel child_ch = header_claiming_512mib();
+    const long before = peak_rss_kib();
+    int code = 3;
+    try {
+      (void)read_frame(child_ch);
+    } catch (const TransportError& e) {
+      code = e.kind == TransportError::Kind::kTruncated ? 0 : 2;
+    }
+    const long after = peak_rss_kib();
+    if (code == 0 && (before < 0 || after - before >= 16 * 1024)) code = 1;
+    ::_exit(code);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0)
+      << "1 = VmHWM grew by 16 MiB or more, 2 = wrong error kind, "
+         "3 = no error";
+}
+
+TEST(FrameRead, ReusedFrameKeepsItsBufferAcrossReads) {
+  MemChannel ch;
+  write_frame(ch, FrameKind::kShardData, 0, 1,
+              std::vector<std::byte>(100000, std::byte{7}));
+  write_frame(ch, FrameKind::kShardData, 0, 2, bytes_of({1, 2, 3}));
+  write_frame(ch, FrameKind::kShardData, 0, 3,
+              std::vector<std::byte>(90000, std::byte{9}));
+  Frame f;
+  read_frame(ch, f);
+  EXPECT_EQ(f.payload.size(), 100000u);
+  const std::byte* buffer = f.payload.data();
+  expect_frame(ch, f, FrameKind::kShardData, 0, 2);
+  EXPECT_EQ(f.payload, bytes_of({1, 2, 3}));
+  expect_frame(ch, f, FrameKind::kShardData, 0, 3);
+  EXPECT_EQ(f.payload, std::vector<std::byte>(90000, std::byte{9}));
+  EXPECT_EQ(f.payload.data(), buffer);  // no reallocation
 }
 
 TEST(FrameRead, ReorderedAndMisroutedFramesAreTyped) {

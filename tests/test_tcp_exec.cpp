@@ -171,6 +171,38 @@ TEST(TcpExecutor, BootstrapBytesCountedInTelemetry) {
   EXPECT_GT(out->second, shipped->second);
 }
 
+TEST(TcpExecutor, ResidentInboxesByteIdenticalAtThreeShards) {
+  // K=3 over TCP: two remote workers, each owning several machines, keep
+  // the messages among their own machines and rebuild those inboxes
+  // from resident frames plus the runs the coordinator ships. Worker to
+  // worker traffic crosses the coordinator. The result must not change.
+  const auto serial_specs = all_driver_specs(1);
+  const auto sharded_specs = all_driver_specs(3);
+  jobs::ScopedTcpLoopback fleet(2);
+  obs::Telemetry& tel = obs::Telemetry::instance();
+  for (const std::size_t i : {std::size_t{0}, std::size_t{5},
+                              std::size_t{14}}) {
+    const std::string serial =
+        jobs::fingerprint(jobs::run_job(serial_specs[i]));
+    exec::ProcessBackendConfig cfg;
+    cfg.workers = fleet.endpoints();
+    cfg.connect_timeout = std::chrono::milliseconds(5000);
+    cfg.job_spec = jobs::encode_job_spec(sharded_specs[i]);
+    exec::ScopedProcessBackendConfig guard(std::move(cfg));
+    tel.clear();
+    tel.enable();
+    const std::string sharded =
+        jobs::fingerprint(jobs::run_job(sharded_specs[i]));
+    tel.disable();
+    const obs::TelemetrySnapshot snap = tel.snapshot();
+    tel.clear();
+    EXPECT_EQ(sharded, serial) << sharded_specs[i].algorithm;
+    const auto resident = snap.counters.find("exec.resident_frames");
+    ASSERT_NE(resident, snap.counters.end()) << sharded_specs[i].algorithm;
+    EXPECT_GT(resident->second, 0u) << sharded_specs[i].algorithm;
+  }
+}
+
 /// Runs a driver under `cfg` and returns the caught ExecError message
 /// ("" when it unexpectedly succeeds).
 std::string run_expecting_failure(exec::ProcessBackendConfig cfg) {
