@@ -5,6 +5,7 @@
 #include <span>
 
 #include "mrlr/mrc/broadcast.hpp"
+#include "mrlr/mrc/lanes.hpp"
 #include "mrlr/util/math.hpp"
 #include "mrlr/util/require.hpp"
 
@@ -80,28 +81,30 @@ LubyColouringResult luby_colouring_mr(const graph::Graph& g,
         ctx.charge_resident(footprint[id]);
         const std::vector<std::uint32_t>& colour = colour_by[id];
         Rng rng = root.stream((phase << 20) ^ id);
-        for (VertexId v = static_cast<VertexId>(id); v < g.num_vertices();
-             v = static_cast<VertexId>(v + machines)) {
-          if (colour[v] != kUncoloured) continue;
-          // Free colours = palette minus coloured neighbours' colours.
-          std::vector<char> taken(palette, 0);
-          for (const Incidence& inc : g.neighbours(v)) {
-            const std::uint32_t cn = colour[inc.neighbour];
-            if (cn != kUncoloured) taken[cn] = 1;
-          }
-          std::vector<std::uint32_t> free;
-          for (std::uint32_t col = 0; col < palette; ++col) {
-            if (!taken[col]) free.push_back(col);
-          }
-          MRLR_REQUIRE(!free.empty(), "palette exhausted: degree bound bug");
-          proposal[v] = free[rng.uniform(free.size())];
-          for (const Incidence& inc : g.neighbours(v)) {
-            if (colour[inc.neighbour] == kUncoloured) {
-              ctx.send(owner_of(inc.neighbour, machines),
-                       {inc.neighbour, v, proposal[v]});
+        mrc::send_coalesced(ctx, [&](mrc::Lanes& out) {
+          for (VertexId v = static_cast<VertexId>(id); v < g.num_vertices();
+               v = static_cast<VertexId>(v + machines)) {
+            if (colour[v] != kUncoloured) continue;
+            // Free colours = palette minus coloured neighbours' colours.
+            std::vector<char> taken(palette, 0);
+            for (const Incidence& inc : g.neighbours(v)) {
+              const std::uint32_t cn = colour[inc.neighbour];
+              if (cn != kUncoloured) taken[cn] = 1;
+            }
+            std::vector<std::uint32_t> free;
+            for (std::uint32_t col = 0; col < palette; ++col) {
+              if (!taken[col]) free.push_back(col);
+            }
+            MRLR_REQUIRE(!free.empty(), "palette exhausted: degree bound bug");
+            proposal[v] = free[rng.uniform(free.size())];
+            for (const Incidence& inc : g.neighbours(v)) {
+              if (colour[inc.neighbour] == kUncoloured) {
+                out.push(owner_of(inc.neighbour, machines),
+                         {inc.neighbour, v, proposal[v]});
+              }
             }
           }
-        }
+        });
       });
 
   // Round 2: a proposal sticks if no uncoloured neighbour proposed the

@@ -4,6 +4,7 @@
 #include <numeric>
 #include <span>
 
+#include "mrlr/mrc/lanes.hpp"
 #include "mrlr/seq/colouring.hpp"
 #include "mrlr/seq/misra_gries.hpp"
 #include "mrlr/util/math.hpp"
@@ -198,11 +199,13 @@ ColouringResult mr_edge_colouring(const graph::Graph& g,
 
   const mrc::RoundId r_ship = engine.define_round(
       "ship-groups", [&](MachineContext& ctx, std::span<const Word>) {
-        for (EdgeId e = 0; e < g.num_edges(); ++e) {
-          if (owner_of(e, plan.kappa) != ctx.id()) continue;
-          const Edge& ed = g.edge(e);
-          ctx.send(static_cast<mrc::MachineId>(group[e]), {e, ed.u, ed.v});
-        }
+        mrc::send_coalesced(ctx, [&](mrc::Lanes& out) {
+          for (EdgeId e = 0; e < g.num_edges(); ++e) {
+            if (owner_of(e, plan.kappa) != ctx.id()) continue;
+            const Edge& ed = g.edge(e);
+            out.push(static_cast<mrc::MachineId>(group[e]), {e, ed.u, ed.v});
+          }
+        });
       });
 
   const mrc::RoundId r_colour = engine.define_round(

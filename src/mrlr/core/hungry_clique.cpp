@@ -5,6 +5,7 @@
 #include <unordered_set>
 
 #include "mrlr/mrc/broadcast.hpp"
+#include "mrlr/mrc/lanes.hpp"
 #include "mrlr/util/math.hpp"
 #include "mrlr/util/require.hpp"
 
@@ -216,15 +217,17 @@ HungryCliqueResult hungry_clique(const graph::Graph& g,
   const mrc::RoundId r_exchange = engine.define_round(
       "exchange-sigma", [&](MachineContext& ctx, std::span<const Word>) {
         ctx.charge_resident(footprint[ctx.id()]);
-        for (const mrc::MessageView msg : ctx.messages()) {
-          for (std::size_t k = 0; k + 1 < msg.payload.size(); k += 2) {
-            const auto v = static_cast<VertexId>(msg.payload[k]);
-            for (const Incidence& inc : g.neighbours(v)) {
-              ctx.send(owner_of(inc.neighbour, machines),
-                       {inc.neighbour, msg.payload[k + 1]});
+        mrc::send_coalesced(ctx, [&](mrc::Lanes& out) {
+          for (const mrc::MessageView msg : ctx.messages()) {
+            for (std::size_t k = 0; k + 1 < msg.payload.size(); k += 2) {
+              const auto v = static_cast<VertexId>(msg.payload[k]);
+              for (const Incidence& inc : g.neighbours(v)) {
+                out.push(owner_of(inc.neighbour, machines),
+                         {inc.neighbour, msg.payload[k + 1]});
+              }
             }
           }
-        }
+        });
       });
   const mrc::RoundId r_drain = engine.define_round(
       "drain-sigma", [&](MachineContext& ctx, std::span<const Word>) {
@@ -259,10 +262,12 @@ HungryCliqueResult hungry_clique(const graph::Graph& g,
     bcast.run(std::vector<Word>(removed.begin(), removed.end()));
     engine.run_central_round("send-sigma", [&](MachineContext& ctx) {
       ctx.charge_resident(state.active_count() + 1);
-      for (VertexId v = 0; v < g.num_vertices(); ++v) {
-        ctx.send(owner_of(v, machines),
-                 {v, state.active(v) ? Word{1} : Word{0}});
-      }
+      mrc::send_coalesced(ctx, [&](mrc::Lanes& out) {
+        for (VertexId v = 0; v < g.num_vertices(); ++v) {
+          out.push(owner_of(v, machines),
+                   {v, state.active(v) ? Word{1} : Word{0}});
+        }
+      });
     });
     engine.invoke_round(r_exchange);
     engine.invoke_round(r_drain);

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <span>
 
+#include "mrlr/mrc/lanes.hpp"
 #include "mrlr/util/math.hpp"
 #include "mrlr/util/require.hpp"
 
@@ -244,23 +245,31 @@ RlrBMatchingResult rlr_b_matching(const graph::Graph& g,
 
   // Forward the phi wave: {v, phi} pairs fan out as {e, v, phi} triples
   // to the owners of v's incident edges; one-word stacked notices are
-  // recorded by the edge owner directly.
+  // recorded by the edge owner directly. Central's words to this machine
+  // are a {v, phi} pair per owned vertex, ascending, then the stacked
+  // notices, so the first 2 * (owned vertices) words are the pairs
+  // whatever the framing.
   const mrc::RoundId r_forward_phi = engine.define_round(
       "forward-phi", [&](MachineContext& ctx, std::span<const Word>) {
-        ctx.charge_resident(footprint[ctx.id()]);
-        for (const mrc::MessageView msg : ctx.messages()) {
-          if (msg.payload.size() == 1) {
-            owner_stacked[static_cast<EdgeId>(msg.payload[0])] = 1;
-            continue;
-          }
-          for (std::size_t k = 0; k + 1 < msg.payload.size(); k += 2) {
-            const auto v = static_cast<VertexId>(msg.payload[k]);
-            for (const graph::Incidence& inc : g.neighbours(v)) {
-              ctx.send(owner_of(inc.edge, machines),
-                       {inc.edge, v, msg.payload[k + 1]});
+        const MachineId id = ctx.id();
+        ctx.charge_resident(footprint[id]);
+        std::uint64_t pairs_left = id < n ? (n - 1 - id) / machines + 1 : 0;
+        mrc::send_coalesced(ctx, [&](mrc::Lanes& out) {
+          for (const mrc::MessageView msg : ctx.messages()) {
+            const std::span<const Word> p = msg.payload;
+            std::size_t k = 0;
+            for (; pairs_left > 0 && k + 1 < p.size(); k += 2, --pairs_left) {
+              const auto v = static_cast<VertexId>(p[k]);
+              for (const graph::Incidence& inc : g.neighbours(v)) {
+                out.push(owner_of(inc.edge, machines),
+                         {inc.edge, v, p[k + 1]});
+              }
+            }
+            for (; k < p.size(); ++k) {
+              owner_stacked[static_cast<EdgeId>(p[k])] = 1;
             }
           }
-        }
+        });
       });
 
   // Edge owners apply the phi triples, re-derive aliveness with the
@@ -282,21 +291,23 @@ RlrBMatchingResult rlr_b_matching(const graph::Graph& g,
           }
         }
         std::uint64_t count = 0;
-        for (EdgeId e = static_cast<EdgeId>(id); e < m;
-             e = static_cast<EdgeId>(e + machines)) {
-          const bool alive =
-              !owner_stacked[e] &&
-              g.weight(e) > (1.0 + eps) * (phi_u_acc[e] + phi_v_acc[e]);
-          if (owner_alive[e] && !alive) {
-            const graph::Edge& ed = g.edge(e);
-            ctx.send(owner_of(ed.u, machines), {e});
-            if (owner_of(ed.v, machines) != owner_of(ed.u, machines)) {
-              ctx.send(owner_of(ed.v, machines), {e});
+        mrc::send_coalesced(ctx, [&](mrc::Lanes& out) {
+          for (EdgeId e = static_cast<EdgeId>(id); e < m;
+               e = static_cast<EdgeId>(e + machines)) {
+            const bool alive =
+                !owner_stacked[e] &&
+                g.weight(e) > (1.0 + eps) * (phi_u_acc[e] + phi_v_acc[e]);
+            if (owner_alive[e] && !alive) {
+              const graph::Edge& ed = g.edge(e);
+              out.push(owner_of(ed.u, machines), {e});
+              if (owner_of(ed.v, machines) != owner_of(ed.u, machines)) {
+                out.push(owner_of(ed.v, machines), {e});
+              }
             }
+            owner_alive[e] = alive ? 1 : 0;
+            if (alive) ++count;
           }
-          owner_alive[e] = alive ? 1 : 0;
-          if (alive) ++count;
-        }
+        });
         alive_cnt[id] = count;
       });
 
@@ -354,12 +365,14 @@ RlrBMatchingResult rlr_b_matching(const graph::Graph& g,
     // --- Propagate phi (and the stacked set) and recompute aliveness. ---
     engine.run_central_round("send-phi", [&](MachineContext& ctx) {
       ctx.charge_resident(central_footprint);
-      for (VertexId v = 0; v < n; ++v) {
-        ctx.send(owner_of(v, machines), {v, pack_double(lr.phi(v))});
-      }
-      for (const EdgeId e : newly_stacked) {
-        ctx.send(owner_of(e, machines), {e});
-      }
+      mrc::send_coalesced(ctx, [&](mrc::Lanes& out) {
+        for (VertexId v = 0; v < n; ++v) {
+          out.push(owner_of(v, machines), {v, pack_double(lr.phi(v))});
+        }
+        for (const EdgeId e : newly_stacked) {
+          out.push(owner_of(e, machines), {e});
+        }
+      });
     });
     engine.invoke_round(r_forward_phi);
     engine.invoke_round(r_recompute);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "mrlr/mrc/lanes.hpp"
 #include "mrlr/seq/local_ratio_matching.hpp"
 #include "mrlr/util/math.hpp"
 #include "mrlr/util/require.hpp"
@@ -26,12 +27,13 @@ RlrMatchingResult rlr_matching(const graph::Graph& g,
   topo.num_machines = std::max<std::uint64_t>(1, ceil_div(std::max<std::uint64_t>(m, 1), eta));
   // Central words in one iteration: at most 8*eta sampled edges (the
   // Algorithm 4 fail threshold, scaled by sample_boost) at 2 words each,
-  // or 4*|E_i| < 16*eta words in the ship-all endgame, plus the decoded
-  // per-vertex sample table (one word per sampled edge and one list head
-  // per vertex) the central scan rebuilds from its inbox, plus the phi
-  // table (n words). slack/16 scales that requirement (the default
-  // slack of 16 grants it exactly; smaller slack under-provisions, which
-  // the failure-injection tests use to prove the audit is live).
+  // or 4*|E_i| < 16*eta words in the ship-all endgame, plus one word per
+  // sampled edge and one per vertex charged for the scan's index into
+  // that inbox (an upper bound: the index itself is one word per
+  // machine), plus the phi table (n words). slack/16 scales that
+  // requirement (the default slack of 16 grants it exactly; smaller
+  // slack under-provisions, which the failure-injection tests use to
+  // prove the audit is live).
   topo.words_per_machine =
       static_cast<std::uint64_t>(
           (params.slack / 16.0) *
@@ -141,19 +143,22 @@ RlrMatchingResult rlr_matching(const graph::Graph& g,
       });
 
   // Vertex owners forward phi to incident edge owners, tagged with the
-  // vertex so the edge owner knows which endpoint's half it is.
+  // vertex so the edge owner knows which endpoint's half it is. Triples
+  // travel one frame per edge owner; the receiver reads them by stride.
   const mrc::RoundId r_forward_phi = engine.define_round(
       "forward-phi", [&](MachineContext& ctx, std::span<const Word>) {
         ctx.charge_resident(footprint[ctx.id()]);
-        for (const mrc::MessageView msg : ctx.messages()) {
-          for (std::size_t k = 0; k + 1 < msg.payload.size(); k += 2) {
-            const auto v = static_cast<VertexId>(msg.payload[k]);
-            const Word phi_w = msg.payload[k + 1];
-            for (const graph::Incidence& inc : g.neighbours(v)) {
-              ctx.send(owner_of(inc.edge, machines), {inc.edge, v, phi_w});
+        mrc::send_coalesced(ctx, [&](mrc::Lanes& out) {
+          for (const mrc::MessageView msg : ctx.messages()) {
+            for (std::size_t k = 0; k + 1 < msg.payload.size(); k += 2) {
+              const auto v = static_cast<VertexId>(msg.payload[k]);
+              const Word phi_w = msg.payload[k + 1];
+              for (const graph::Incidence& inc : g.neighbours(v)) {
+                out.push(owner_of(inc.edge, machines), {inc.edge, v, phi_w});
+              }
             }
           }
-        }
+        });
       });
 
   // Edge owners refresh their phi halves, recompute aliveness, update
@@ -175,18 +180,20 @@ RlrMatchingResult rlr_matching(const graph::Graph& g,
           }
         }
         std::uint64_t count = 0;
-        for (EdgeId e = static_cast<EdgeId>(ctx.id()); e < m;
-             e = static_cast<EdgeId>(e + machines)) {
-          const double mw = g.weight(e) - phi_u_acc[e] - phi_v_acc[e];
-          const bool alive = mw > 0.0;
-          if (alive) ++count;
-          if (owner_alive[e] && !alive) {
-            const graph::Edge& ed = g.edge(e);
-            ctx.send(owner_of(ed.u, machines), {e});
-            ctx.send(owner_of(ed.v, machines), {e});
+        mrc::send_coalesced(ctx, [&](mrc::Lanes& out) {
+          for (EdgeId e = static_cast<EdgeId>(ctx.id()); e < m;
+               e = static_cast<EdgeId>(e + machines)) {
+            const double mw = g.weight(e) - phi_u_acc[e] - phi_v_acc[e];
+            const bool alive = mw > 0.0;
+            if (alive) ++count;
+            if (owner_alive[e] && !alive) {
+              const graph::Edge& ed = g.edge(e);
+              out.push(owner_of(ed.u, machines), {e});
+              out.push(owner_of(ed.v, machines), {e});
+            }
+            owner_alive[e] = alive ? 1 : 0;
           }
-          owner_alive[e] = alive ? 1 : 0;
-        }
+        });
         alive_cnt[ctx.id()] = count;
       });
 
@@ -230,38 +237,30 @@ RlrMatchingResult rlr_matching(const graph::Graph& g,
 
     // --- 3. Central scan: heaviest alive sampled edge per vertex. ---
     engine.run_central_round("local-ratio", [&](MachineContext& ctx) {
-      // Resident: phi table + stack, the inbox, and the decoded sample
-      // table (a list head per vertex plus one word per sampled edge).
+      // Resident: phi table + stack, the inbox, and an upper bound on
+      // the index into it (one word per sampled edge and one per vertex;
+      // the index below is one word per machine). The bound is kept
+      // because it feeds max_machine_words, and with it every hash.
       ctx.charge_resident(central_footprint + ctx.inbox_words() +
                           ctx.inbox_words() / 2 + n);
-      // Decode the inbox back into per-vertex sample lists. Messages
-      // arrive sender-major, and each sender's messages are its owned
-      // vertices ascending, so (sender, index-within-sender) names the
-      // vertex; per-vertex draw order is preserved, keeping the scan
-      // below byte-identical to the pre-wire-format implementation.
-      std::vector<std::vector<EdgeId>> sampled(n);
-      mrc::MachineId prev_from = 0;
-      std::uint64_t index = 0;
-      bool started = false;
-      for (const mrc::MessageView msg : ctx.messages()) {
-        if (!started || msg.from != prev_from) {
-          prev_from = msg.from;
-          index = 0;
-          started = true;
-        }
-        const std::uint64_t v64 = prev_from + index * machines;
-        ++index;
-        MRLR_DEBUG_REQUIRE(v64 < n, "sample message beyond vertex range");
-        auto& list = sampled[static_cast<VertexId>(v64)];
-        for (std::size_t k = 0; k + 1 < msg.payload.size(); k += 2) {
-          list.push_back(static_cast<EdgeId>(msg.payload[k]));
-        }
-      }
+      // Messages arrive sender-major, and each sender's messages are its
+      // owned vertices ascending, so vertex v's sample is message v / M
+      // of sender v % M. first[s] is the inbox index of sender s's first
+      // message; each vertex's (edge, weight) pairs are read in place, in
+      // draw order.
+      std::vector<std::size_t> first(machines + 1, 0);
+      for (const mrc::MessageView msg : ctx.messages()) ++first[msg.from + 1];
+      for (std::uint64_t s = 0; s < machines; ++s) first[s + 1] += first[s];
       for (VertexId v = 0; v < n; ++v) {
+        const std::size_t at = first[v % machines] + v / machines;
+        MRLR_DEBUG_REQUIRE(at < first[v % machines + 1],
+                           "vertex without a sample message");
+        const std::span<const Word> pairs = ctx.message(at).payload;
         EdgeId best = 0;
         double best_w = 0.0;
         bool found = false;
-        for (const EdgeId e : sampled[v]) {
+        for (std::size_t k = 0; k + 1 < pairs.size(); k += 2) {
+          const auto e = static_cast<EdgeId>(pairs[k]);
           const double mw = lr.modified_weight(e);
           if (lr.edge_alive(e) && mw > best_w) {
             best = e;
@@ -276,9 +275,11 @@ RlrMatchingResult rlr_matching(const graph::Graph& g,
     // --- 4a. Central sends phi(v) to each vertex owner. ---
     engine.run_central_round("send-phi", [&](MachineContext& ctx) {
       ctx.charge_resident(central_footprint);
-      for (VertexId v = 0; v < n; ++v) {
-        ctx.send(owner_of(v, machines), {v, pack_double(lr.phi(v))});
-      }
+      mrc::send_coalesced(ctx, [&](mrc::Lanes& out) {
+        for (VertexId v = 0; v < n; ++v) {
+          out.push(owner_of(v, machines), {v, pack_double(lr.phi(v))});
+        }
+      });
     });
     // --- 4b. Vertex owners forward phi to incident edge owners. ---
     engine.invoke_round(r_forward_phi);

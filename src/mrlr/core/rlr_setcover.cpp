@@ -5,6 +5,7 @@
 
 #include "mrlr/graph/validate.hpp"
 #include "mrlr/mrc/broadcast.hpp"
+#include "mrlr/mrc/lanes.hpp"
 #include "mrlr/seq/local_ratio_setcover.hpp"
 #include "mrlr/setcover/validate.hpp"
 #include "mrlr/util/math.hpp"
@@ -91,6 +92,8 @@ RlrSetCoverResult rlr_set_cover(const setcover::SetSystem& sys,
         const double p = unpack_double(ps[1]);
         ctx.charge_resident(footprint[ctx.id()]);
         Rng rng = root_rng.stream((iter << 20) ^ ctx.id());
+        // One frame per sampled element, never coalesced: the fail check
+        // reads the sample size as the central inbox_size.
         for (ElementId j = static_cast<ElementId>(ctx.id()); j < m;
              j = static_cast<ElementId>(j + sz.machines)) {
           if (!active[j] || !rng.bernoulli(p)) continue;
@@ -150,6 +153,7 @@ RlrSetCoverResult rlr_set_cover(const setcover::SetSystem& sys,
     // Control-plane peek: one message per sampled element, so the fail
     // check runs before the oversized inbox is ever charged.
     const std::uint64_t sampled = engine.inbox_size(mrc::kCentral);
+    res.sample_sizes.push_back(sampled);
     const std::uint64_t sample_cap = static_cast<std::uint64_t>(
         6.0 * params.sample_boost * static_cast<double>(sz.eta));
     if (sampled > sample_cap) {
@@ -242,6 +246,8 @@ RlrVertexCoverResult rlr_vertex_cover(const graph::Graph& g,
              j = static_cast<ElementId>(j + sz.machines)) {
           if (!active[j] || !rng.bernoulli(p)) continue;
           const graph::Edge& e = g.edge(j);
+          // One frame per sampled edge, never coalesced: the fail check
+          // reads the sample size as the central inbox_size.
           ctx.send(mrc::kCentral, {j, e.u, e.v});
         }
       });
@@ -249,14 +255,16 @@ RlrVertexCoverResult rlr_vertex_cover(const graph::Graph& g,
   const mrc::RoundId r_notify_edges = engine.define_round(
       "notify-edges", [&](MachineContext& ctx, std::span<const Word>) {
         ctx.charge_resident(footprint[ctx.id()]);
-        for (const mrc::MessageView msg : ctx.messages()) {
-          for (const Word vw : msg.payload) {
-            const auto v = static_cast<graph::VertexId>(vw);
-            for (const graph::Incidence& inc : g.neighbours(v)) {
-              ctx.send(owner_of(inc.edge, sz.machines), {inc.edge});
+        mrc::send_coalesced(ctx, [&](mrc::Lanes& out) {
+          for (const mrc::MessageView msg : ctx.messages()) {
+            for (const Word vw : msg.payload) {
+              const auto v = static_cast<graph::VertexId>(vw);
+              for (const graph::Incidence& inc : g.neighbours(v)) {
+                out.push(owner_of(inc.edge, sz.machines), {inc.edge});
+              }
             }
           }
-        }
+        });
       });
   // Drain + deactivate.
   const mrc::RoundId r_deactivate = engine.define_round(
@@ -293,6 +301,7 @@ RlrVertexCoverResult rlr_vertex_cover(const graph::Graph& g,
 
     // One 3-word message per sampled edge; peek before charging.
     const std::uint64_t sampled = engine.inbox_size(mrc::kCentral);
+    res.sample_sizes.push_back(sampled);
     const std::uint64_t sample_cap = static_cast<std::uint64_t>(
         6.0 * params.sample_boost * static_cast<double>(sz.eta));
     if (sampled > sample_cap) {
@@ -312,9 +321,11 @@ RlrVertexCoverResult rlr_vertex_cover(const graph::Graph& g,
     // Forward round A: central tells each newly covered vertex's owner.
     engine.run_central_round("notify-vertices", [&](MachineContext& ctx) {
       ctx.charge_resident(central_footprint);
-      for (const SetId v : newly_zeroed) {
-        ctx.send(owner_of(v, sz.machines), {v});
-      }
+      mrc::send_coalesced(ctx, [&](mrc::Lanes& out) {
+        for (const SetId v : newly_zeroed) {
+          out.push(owner_of(v, sz.machines), {v});
+        }
+      });
     });
     engine.invoke_round(r_notify_edges);
     engine.invoke_round(r_deactivate);

@@ -22,6 +22,7 @@
 // two direct forwarding rounds (central -> set owner -> element owners),
 // which is what drops the round bound from O((c/mu)^2) to O(c/mu).
 
+#include <cstdint>
 #include <vector>
 
 #include "mrlr/core/params.hpp"
@@ -34,6 +35,9 @@ struct RlrSetCoverResult {
   std::vector<setcover::SetId> cover;
   double weight = 0.0;
   double lower_bound = 0.0;  ///< local ratio certificate: OPT >= this
+  /// |U'| of each sample round, read as the central inbox_size (one
+  /// frame per sampled element) and compared against the 6*eta cap.
+  std::vector<std::uint64_t> sample_sizes;
   MrOutcome outcome;
 };
 
@@ -45,6 +49,8 @@ struct RlrVertexCoverResult {
   std::vector<graph::VertexId> cover;
   double weight = 0.0;
   double lower_bound = 0.0;
+  /// Sampled edges of each sample round (the central inbox_size).
+  std::vector<std::uint64_t> sample_sizes;
   MrOutcome outcome;
 };
 

@@ -173,9 +173,11 @@ void Engine::round_body(std::string_view label, bool central_only,
   // it every downstream inbox scan — matches the sequential simulation
   // regardless of which threads ran which machines. Only the frame
   // indexes move here; payload words stay where the senders wrote them.
+  std::uint64_t frames = 0;
   for (MachineId s = 0; s < machines; ++s) {
     MRLR_REQUIRE(!writer_open_[s],
                  "MessageWriter left open across the round barrier");
+    frames += staging_[s].frames.size();
     for (const Frame& f : staging_[s].frames) {
       next_frames_[f.to].push_back({s, f.offset, f.len});
       next_inbox_words_[f.to] += f.len;
@@ -238,6 +240,12 @@ void Engine::round_body(std::string_view label, bool central_only,
     }
     tel.add_counter("engine.slab_reuses", reused);
     tel.add_counter("engine.rounds", 1);
+    // Frames this round delivers, the ones workers kept included, so
+    // the count is the same under every backend.
+    for (MachineId m = 0; m < machines; ++m) {
+      frames += next_resident_frames_[m];
+    }
+    tel.add_counter("mrc.frames", frames);
   }
   for (Outbox& out : staging_) {
     out.words.clear();

@@ -3,14 +3,13 @@
 #include <algorithm>
 #include <map>
 
+#include "mrlr/mrc/lanes.hpp"
 #include "mrlr/util/rng.hpp"
 
 namespace mrlr::mrc {
 
 MapReduceJob::MapReduceJob(Engine& engine, std::vector<KeyValue> input)
-    : engine_(engine), data_(engine.num_machines()),
-      map_scratch_(engine.num_machines(),
-                   std::vector<std::vector<Word>>(engine.num_machines())) {
+    : engine_(engine), data_(engine.num_machines()) {
   for (std::size_t i = 0; i < input.size(); ++i) {
     data_[i % engine_.num_machines()].push_back(std::move(input[i]));
   }
@@ -36,22 +35,16 @@ void MapReduceJob::round(std::string_view label, const Mapper& map,
   // Message framing: [key, value_len, value...] repeated.
   engine_.run_round(label, [&](MachineContext& ctx) {
     ctx.charge_resident(resident_words(ctx.id()));
-    // Group emissions per destination to cut message overhead; the
-    // buffers are handed to the arena in one span copy each, and kept
-    // (capacity intact) across rounds.
-    std::vector<std::vector<Word>>& out = map_scratch_[ctx.id()];
-    for (std::vector<Word>& buf : out) buf.clear();
-    for (const KeyValue& kv : data_[ctx.id()]) {
-      for (KeyValue& emitted : map(kv)) {
-        auto& buf = out[machine_of_key(emitted.key)];
-        buf.push_back(emitted.key);
-        buf.push_back(emitted.value.size());
-        buf.insert(buf.end(), emitted.value.begin(), emitted.value.end());
+    // One frame per destination; the reducer decodes records by length.
+    send_coalesced(ctx, [&](Lanes& out) {
+      for (const KeyValue& kv : data_[ctx.id()]) {
+        for (const KeyValue& emitted : map(kv)) {
+          const MachineId to = machine_of_key(emitted.key);
+          out.push(to, {emitted.key, emitted.value.size()});
+          out.append(to, emitted.value);
+        }
       }
-    }
-    for (MachineId m = 0; m < engine_.num_machines(); ++m) {
-      if (!out[m].empty()) ctx.send_batch(m, out[m]);
-    }
+    });
   });
 
   // Engine round 2: group received values by key and reduce.

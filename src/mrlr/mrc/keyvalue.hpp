@@ -106,11 +106,6 @@ class MapReduceJob {
   Engine& engine_;
   // data_[m] = pairs currently living on machine m.
   std::vector<std::vector<KeyValue>> data_;
-  // map_scratch_[m][d] = machine m's staging buffer for destination d in
-  // the map round; cleared (capacity kept) each round so steady-state
-  // rounds stay allocation-free. Slot m is touched only by machine m's
-  // callback.
-  std::vector<std::vector<std::vector<Word>>> map_scratch_;
 };
 
 }  // namespace mrlr::mrc

@@ -10,15 +10,6 @@ using graph::VertexId;
 MatchingLocalRatio::MatchingLocalRatio(const graph::Graph& g)
     : g_(g), phi_(g.num_vertices(), 0.0), stacked_(g.num_edges(), 0) {}
 
-double MatchingLocalRatio::modified_weight(EdgeId e) const {
-  const graph::Edge& ed = g_.edge(e);
-  return g_.weight(e) - phi_[ed.u] - phi_[ed.v];
-}
-
-bool MatchingLocalRatio::edge_alive(EdgeId e) const {
-  return !stacked_[e] && modified_weight(e) > 0.0;
-}
-
 bool MatchingLocalRatio::process(EdgeId e) {
   if (!edge_alive(e)) return false;
   const graph::Edge& ed = g_.edge(e);

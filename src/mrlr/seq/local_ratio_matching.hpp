@@ -31,12 +31,18 @@ class MatchingLocalRatio {
  public:
   explicit MatchingLocalRatio(const graph::Graph& g);
 
-  /// Modified (residual) weight of e.
-  double modified_weight(graph::EdgeId e) const;
+  /// Modified (residual) weight of e. Inline, like edge_alive, because
+  /// the central scans call both per sampled edge.
+  double modified_weight(graph::EdgeId e) const {
+    const graph::Edge& ed = g_.edge(e);
+    return g_.weight(e) - phi_[ed.u] - phi_[ed.v];
+  }
 
   /// True if e has positive modified weight and is not on the stack;
   /// such edges are the paper's E_i at any point in time.
-  bool edge_alive(graph::EdgeId e) const;
+  bool edge_alive(graph::EdgeId e) const {
+    return !stacked_[e] && modified_weight(e) > 0.0;
+  }
 
   /// Process e: if alive, apply the weight reduction and stack it.
   /// Returns true if the edge was stacked.

@@ -109,6 +109,34 @@ TEST(RlrSetCover, FewIterationsWhenSampleCoversAll) {
   EXPECT_LE(res.outcome.iterations, 2u);
 }
 
+TEST(RlrSetCover, SampleRoundsSendOneFramePerSampledElement) {
+  // The fail check reads |U'| as the central inbox_size, so the sample
+  // rounds keep one frame per sampled element: coalescing them would
+  // shrink the count to one frame per machine. A boosted sample takes
+  // every element in the first iteration, on more than one machine.
+  Rng rng(9);
+  const std::uint64_t sets = 20;
+  const std::uint64_t universe = 400;
+  const SetSystem s = setcover::bounded_frequency(
+      sets, universe, 3, graph::WeightDist::kUniform, rng);
+  MrParams p = test_params(2, /*mu=*/0.2);
+  p.sample_boost = 8.0;  // p = min(1, 2 * boost * eta / |U|) = 1
+  p.slack = 64.0;        // room for the whole universe on central
+  ASSERT_GT(ceil_div(universe, ipow_real(sets, 1.0 + p.mu)), 1u);
+  const auto res = rlr_set_cover(s, p);
+  ASSERT_FALSE(res.outcome.failed);
+  ASSERT_FALSE(res.sample_sizes.empty());
+  EXPECT_EQ(res.sample_sizes.front(), universe);
+
+  const graph::Graph g = graph::gnm(60, 600, rng);
+  const std::vector<double> w(g.num_vertices(), 1.0);
+  ASSERT_GT(ceil_div(g.num_edges(), ipow_real(60, 1.0 + p.mu)), 1u);
+  const auto vc = rlr_vertex_cover(g, w, p);
+  ASSERT_FALSE(vc.outcome.failed);
+  ASSERT_FALSE(vc.sample_sizes.empty());
+  EXPECT_EQ(vc.sample_sizes.front(), g.num_edges());
+}
+
 // --------------------------------- f = 2 vertex cover specialization --
 
 class RlrVertexCoverSweep

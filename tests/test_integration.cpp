@@ -8,6 +8,7 @@
 
 #include "mrlr/baselines/filtering_matching.hpp"
 #include "mrlr/baselines/filtering_vertex_cover.hpp"
+#include "mrlr/baselines/luby_colouring_mr.hpp"
 #include "mrlr/core/colouring.hpp"
 #include "mrlr/core/greedy_setcover_mr.hpp"
 #include "mrlr/core/hungry_clique.hpp"
@@ -18,11 +19,13 @@
 #include "mrlr/graph/generators.hpp"
 #include "mrlr/graph/stats.hpp"
 #include "mrlr/graph/validate.hpp"
+#include "mrlr/obs/telemetry.hpp"
 #include "mrlr/seq/greedy_setcover.hpp"
 #include "mrlr/seq/local_ratio_matching.hpp"
 #include "mrlr/seq/local_ratio_setcover.hpp"
 #include "mrlr/setcover/generators.hpp"
 #include "mrlr/setcover/validate.hpp"
+#include "mrlr/util/math.hpp"
 
 namespace mrlr {
 namespace {
@@ -247,6 +250,61 @@ TEST(Integration, DensityExponentDrivenTopology) {
     const double cap = 32.0 * std::pow(250.0, 1.25) + 250.0 + 64.0;
     EXPECT_LE(static_cast<double>(res.outcome.max_machine_words), cap);
   }
+}
+
+// Frames the engine merged over one run (the mrc.frames counter).
+template <typename Run>
+std::uint64_t frames_of(Run&& run) {
+  obs::Telemetry& t = obs::Telemetry::instance();
+  t.enable();
+  run();
+  t.disable();
+  const auto counters = t.snapshot().counters;
+  const auto it = counters.find("mrc.frames");
+  return it == counters.end() ? 0 : it->second;
+}
+
+TEST(Integration, RecordShufflesSendOneFramePerDestination) {
+  // m >> n on few machines: apart from the rounds that send one frame
+  // per sampled item, a round sends at most one frame per (sender,
+  // destination). One frame per record in vertex cover's notify rounds,
+  // hungry clique's exchange-sigma, Luby's proposals or the edge-group
+  // shipping would break these bounds. (Clique's send-sigma is not
+  // pinned: its n records per relabel fit the n frames per iteration
+  // allowed for the per-vertex sample rounds.)
+  const std::uint64_t n = 100;
+  Rng rng(31);
+  const Graph g = graph::gnm(n, 3000, rng);
+  const core::MrParams p = params_for(3, 0.5);
+  const std::uint64_t machines =
+      ceil_div(g.num_edges(), ipow_real(n, 1.0 + p.mu));
+  ASSERT_EQ(machines, 3u);
+  const std::uint64_t per_round = machines * machines;
+
+  core::RlrVertexCoverResult vc;
+  const std::vector<double> w(n, 1.0);
+  const std::uint64_t vc_frames =
+      frames_of([&] { vc = core::rlr_vertex_cover(g, w, p); });
+  std::uint64_t sampled = 0;
+  for (const std::uint64_t s : vc.sample_sizes) sampled += s;
+  EXPECT_LE(vc_frames, sampled + vc.outcome.rounds * per_round);
+
+  core::HungryCliqueResult clique;
+  const std::uint64_t clique_frames =
+      frames_of([&] { clique = core::hungry_clique(g, p); });
+  EXPECT_LE(clique_frames, n * (clique.outcome.iterations + 1) +
+                               clique.outcome.rounds * per_round);
+
+  baselines::LubyColouringResult luby;
+  const std::uint64_t luby_frames =
+      frames_of([&] { luby = baselines::luby_colouring_mr(g, p); });
+  EXPECT_LE(luby_frames, luby.outcome.rounds * per_round);
+
+  core::ColouringResult edges;
+  const std::uint64_t edge_frames =
+      frames_of([&] { edges = core::mr_edge_colouring(g, p); });
+  ASSERT_FALSE(edges.failed);
+  EXPECT_LE(edge_frames, edges.outcome.rounds * edges.groups * edges.groups);
 }
 
 }  // namespace

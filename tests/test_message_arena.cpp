@@ -7,12 +7,14 @@
 
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "mrlr/exec/serial_executor.hpp"
 #include "mrlr/exec/thread_pool_executor.hpp"
 #include "mrlr/mrc/engine.hpp"
+#include "mrlr/mrc/lanes.hpp"
 #include "mrlr/mrc/trace.hpp"
 #include "mrlr/util/rng.hpp"
 
@@ -25,6 +27,99 @@ Topology topo(std::uint64_t machines, std::uint64_t cap = 1 << 20) {
   t.words_per_machine = cap;
   t.fanout = 2;
   return t;
+}
+
+// ------------------------------------------------- coalesced records --
+
+// Machine s sends records {s, i} to destination (s + i) % M for
+// i = 0..7, in that order: destinations interleave within one sender.
+void send_interleaved_records(MachineContext& ctx, bool coalesce) {
+  const MachineId machines = static_cast<MachineId>(ctx.num_machines());
+  const auto to = [&](Word i) {
+    return static_cast<MachineId>((ctx.id() + i) % machines);
+  };
+  if (!coalesce) {
+    for (Word i = 0; i < 8; ++i) ctx.send(to(i), {ctx.id(), i});
+    return;
+  }
+  send_coalesced(ctx, [&](Lanes& out) {
+    for (Word i = 0; i < 8; ++i) out.push(to(i), {ctx.id(), i});
+  });
+}
+
+// Per machine: its inbox's words in delivery order, and its frame count.
+struct Delivered {
+  std::vector<std::vector<Word>> words;
+  std::vector<std::uint64_t> frames;
+};
+
+Delivered deliver_records(bool coalesce) {
+  Engine e(topo(3));
+  Delivered d{std::vector<std::vector<Word>>(3),
+              std::vector<std::uint64_t>(3)};
+  e.run_round("send", [&](MachineContext& ctx) {
+    send_interleaved_records(ctx, coalesce);
+  });
+  e.run_round("recv", [&](MachineContext& ctx) {
+    d.frames[ctx.id()] = ctx.inbox_size();
+    for (const MessageView m : ctx.messages()) {
+      d.words[ctx.id()].insert(d.words[ctx.id()].end(), m.payload.begin(),
+                               m.payload.end());
+    }
+  });
+  return d;
+}
+
+TEST(Lanes, OneFramePerDestinationWithTheSameWords) {
+  const Delivered per_record = deliver_records(false);
+  const Delivered coalesced = deliver_records(true);
+  EXPECT_EQ(coalesced.words, per_record.words);
+  for (MachineId m = 0; m < 3; ++m) {
+    EXPECT_EQ(per_record.frames[m], 8u);  // every sender's records to m
+    EXPECT_EQ(coalesced.frames[m], 3u);   // one frame per sender
+  }
+}
+
+TEST(Lanes, FramesLeaveInAscendingDestinationOrder) {
+  Engine e(topo(4));
+  e.run_round("send", [](MachineContext& ctx) {
+    if (!ctx.is_central()) return;
+    send_coalesced(ctx, [](Lanes& out) {
+      out.push(3, {30});
+      out.push(1, {10});
+      out.push(3, {31});
+    });
+  });
+  EXPECT_EQ(e.metrics().per_round().back().total_sent, 3u);
+  e.run_round("recv", [](MachineContext& ctx) {
+    if (ctx.id() == 2 || ctx.is_central()) {
+      EXPECT_EQ(ctx.inbox_size(), 0u);
+      return;
+    }
+    ASSERT_EQ(ctx.inbox_size(), 1u);
+    const MessageView m = ctx.message(0);
+    const std::vector<Word> got(m.payload.begin(), m.payload.end());
+    const std::vector<Word> want =
+        ctx.id() == 1 ? std::vector<Word>{10} : std::vector<Word>{30, 31};
+    EXPECT_EQ(got, want);
+  });
+}
+
+TEST(Lanes, ThrowingFillSendsNothing) {
+  Engine e(topo(2));
+  e.run_round("send", [](MachineContext& ctx) {
+    if (!ctx.is_central()) return;
+    EXPECT_THROW(send_coalesced(ctx,
+                                [](Lanes& out) {
+                                  out.push(1, {1, 2, 3});
+                                  throw std::runtime_error("fill failed");
+                                }),
+                 std::runtime_error);
+  });
+  EXPECT_EQ(e.metrics().per_round().back().total_sent, 0u);
+  e.run_round("recv", [](MachineContext& ctx) {
+    EXPECT_EQ(ctx.inbox_size(), 0u);
+  });
 }
 
 // ------------------------------------------------------- writer basics --
