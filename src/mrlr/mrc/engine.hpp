@@ -40,6 +40,14 @@
 // inbox() remains as a compatibility shim that materializes Message
 // copies on demand.
 //
+// Driver idiom: records for one destination travel as one frame per
+// (sender, destination) — rounds that send many fixed-width records
+// build them in mrc::send_coalesced's per-destination lanes
+// (mrc/lanes.hpp), and receivers read them by stride. Frame boundaries
+// matter only where a receiver or an inbox_size peek counts frames
+// (the per-vertex and per-element sample rounds), which keep one frame
+// per item.
+//
 // Per-machine algorithm state is owned by the algorithms themselves
 // (typically a std::vector sized by num_machines); the engine owns only
 // the mailboxes and the cost accounting. Under a threaded backend, round
