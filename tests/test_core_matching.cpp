@@ -8,10 +8,8 @@
 #include "mrlr/core/rlr_matching.hpp"
 #include "mrlr/graph/generators.hpp"
 #include "mrlr/graph/validate.hpp"
-#include "mrlr/obs/telemetry.hpp"
 #include "mrlr/seq/exact_matching.hpp"
 #include "mrlr/seq/local_ratio_matching.hpp"
-#include "mrlr/util/math.hpp"
 
 namespace mrlr::core {
 namespace {
@@ -248,61 +246,6 @@ TEST(RlrBMatching, RejectsBadInputs) {
                "epsilon");
   EXPECT_DEATH((void)rlr_b_matching(g, {1}, 0.1, test_params()),
                "mismatch");
-}
-
-// ------------------------------------------- frames per destination --
-
-// Frames the engine merged over one run (the mrc.frames counter).
-template <typename Run>
-std::uint64_t frames_of(Run&& run) {
-  obs::Telemetry& t = obs::Telemetry::instance();
-  t.enable();
-  run();
-  t.disable();
-  const auto counters = t.snapshot().counters;
-  const auto it = counters.find("mrc.frames");
-  return it == counters.end() ? 0 : it->second;
-}
-
-TEST(CoalescedShuffles, RecordRoundsSendOneFramePerDestination) {
-  // m >> n on M = 3 machines. The per-vertex sample round may send n
-  // frames per iteration; every other round at most one frame per
-  // (sender, destination). One frame per record in forward-phi, in the
-  // death notices or in send-phi would break the bound.
-  const std::uint64_t n = 100;
-  const std::uint64_t m = 3000;
-  Rng rng(21);
-  Graph g = graph::gnm(n, m, rng);
-  g = g.with_weights(
-      graph::random_edge_weights(g, graph::WeightDist::kUniform, rng));
-  const MrParams p = test_params(5, 0.5);
-  const std::uint64_t machines = ceil_div(m, ipow_real(n, 1.0 + p.mu));
-  ASSERT_EQ(machines, 3u);
-  const auto bound = [&](const MrOutcome& o) {
-    return n * o.iterations + o.rounds * machines * machines;
-  };
-
-  RlrMatchingResult rm;
-  const std::uint64_t matching_frames =
-      frames_of([&] { rm = rlr_matching(g, p); });
-  ASSERT_FALSE(rm.outcome.failed);
-  EXPECT_GT(matching_frames, 0u);
-  EXPECT_LE(matching_frames, bound(rm.outcome));
-
-  RlrBMatchingResult rb;
-  const std::vector<std::uint32_t> b(n, 2);
-  const std::uint64_t bmatching_frames =
-      frames_of([&] { rb = rlr_b_matching(g, b, 0.2, p); });
-  ASSERT_FALSE(rb.outcome.failed);
-  EXPECT_GT(bmatching_frames, 0u);
-  EXPECT_LE(bmatching_frames, bound(rb.outcome));
-
-  // The count includes the frames workers keep, so it does not depend
-  // on the backend.
-  MrParams sharded = p;
-  sharded.num_shards = 2;
-  EXPECT_EQ(frames_of([&] { (void)rlr_matching(g, sharded); }),
-            matching_frames);
 }
 
 }  // namespace

@@ -264,6 +264,47 @@ std::uint64_t frames_of(Run&& run) {
   return it == counters.end() ? 0 : it->second;
 }
 
+TEST(Integration, MatchingRecordRoundsSendOneFramePerDestination) {
+  // m >> n on M = 3 machines. The per-vertex sample round may send n
+  // frames per iteration; every other round at most one frame per
+  // (sender, destination). One frame per record in forward-phi, in the
+  // death notices or in send-phi would break the bound.
+  const std::uint64_t n = 100;
+  const std::uint64_t m = 3000;
+  Rng rng(21);
+  Graph g = graph::gnm(n, m, rng);
+  g = g.with_weights(
+      graph::random_edge_weights(g, graph::WeightDist::kUniform, rng));
+  const core::MrParams p = params_for(5, 0.5);
+  const std::uint64_t machines = ceil_div(m, ipow_real(n, 1.0 + p.mu));
+  ASSERT_EQ(machines, 3u);
+  const auto bound = [&](const core::MrOutcome& o) {
+    return n * o.iterations + o.rounds * machines * machines;
+  };
+
+  core::RlrMatchingResult rm;
+  const std::uint64_t matching_frames =
+      frames_of([&] { rm = core::rlr_matching(g, p); });
+  ASSERT_FALSE(rm.outcome.failed);
+  EXPECT_GT(matching_frames, 0u);
+  EXPECT_LE(matching_frames, bound(rm.outcome));
+
+  core::RlrBMatchingResult rb;
+  const std::vector<std::uint32_t> b(n, 2);
+  const std::uint64_t bmatching_frames =
+      frames_of([&] { rb = core::rlr_b_matching(g, b, 0.2, p); });
+  ASSERT_FALSE(rb.outcome.failed);
+  EXPECT_GT(bmatching_frames, 0u);
+  EXPECT_LE(bmatching_frames, bound(rb.outcome));
+
+  // The count includes the frames workers keep, so it does not depend
+  // on the backend.
+  core::MrParams sharded = p;
+  sharded.num_shards = 2;
+  EXPECT_EQ(frames_of([&] { (void)core::rlr_matching(g, sharded); }),
+            matching_frames);
+}
+
 TEST(Integration, RecordShufflesSendOneFramePerDestination) {
   // m >> n on few machines: apart from the rounds that send one frame
   // per sampled item, a round sends at most one frame per (sender,
