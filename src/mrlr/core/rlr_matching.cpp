@@ -56,7 +56,15 @@ RlrMatchingResult rlr_matching(const graph::Graph& g,
 
   // Edge e lives on owner_of(e); vertex v (and its adjacency list) on
   // owner_of(v). Footprints per machine (job-immutable).
+  const FastOwnerOf owner(machines);
   std::vector<std::uint64_t> footprint(machines, 0);
+  std::vector<std::uint64_t> owned_incidences(machines, 0);
+
+  // Which end of its edge each incidence is (1 = the u end), so the
+  // vertex-side rounds never look an edge up just to learn that. An
+  // edge's two ends are numbered 2e + 1 (u) and 2e (v): per-end state
+  // is indexed by end, and the rounds name an end, never a vertex.
+  const std::vector<std::uint8_t> side = graph::incidence_sides(g);
 
   // Worker-resident per-machine state (the process-clean contract):
   // every slot below is mutated only by its owner machine's callbacks,
@@ -67,27 +75,27 @@ RlrMatchingResult rlr_matching(const graph::Graph& g,
   // positive: process() raises both endpoint phis by the (positive)
   // modified weight, so a stacked edge's modified weight is negative
   // forever after — aliveness is a pure function of phi. Edge owners
-  // keep the two phi halves separately (so the float subtraction order
-  // matches MatchingLocalRatio::modified_weight exactly) and notify
-  // the endpoint owners when an edge dies; aliveness is monotone, so
-  // death notices are the only view updates ever needed.
+  // keep the two phi halves separately, per end (so the float
+  // subtraction order matches MatchingLocalRatio::modified_weight
+  // exactly), and notify the endpoint owners when an edge dies;
+  // aliveness is monotone, so death notices are the only view updates
+  // ever needed.
   std::vector<std::uint64_t> alive_cnt(machines, 0);  // owned alive edges
-  std::vector<double> phi_u_acc(m, 0.0);  // edge-owner slots
-  std::vector<double> phi_v_acc(m, 0.0);
-  std::vector<char> owner_alive(m, 0);    // edge-owner slots
-  std::vector<char> alive_at_u(m, 0);     // owner_of(u) slots
-  std::vector<char> alive_at_v(m, 0);     // owner_of(v) slots
+  std::vector<double> phi_end(2 * m, 0.0);  // edge-owner slots, per end
+  std::vector<char> owner_alive(m, 0);      // edge-owner slots
+  std::vector<char> end_alive(2 * m, 0);    // slot 2e + s: its vertex's owner
   for (EdgeId e = 0; e < m; ++e) {
-    const MachineId o = owner_of(e, machines);
+    const MachineId o = owner(e);
     footprint[o] += 4;  // id + endpoints + weight
     ++alive_cnt[o];     // first-iteration count is all edges (historic)
     const char alive0 = g.weight(e) > 0.0 ? 1 : 0;  // == lr.edge_alive now
     owner_alive[e] = alive0;
-    alive_at_u[e] = alive0;
-    alive_at_v[e] = alive0;
+    end_alive[2 * std::uint64_t{e}] = alive0;
+    end_alive[2 * std::uint64_t{e} + 1] = alive0;
   }
   for (VertexId v = 0; v < n; ++v) {
-    footprint[owner_of(v, machines)] += 1 + g.degree(v);
+    footprint[owner(v)] += 1 + g.degree(v);
+    owned_incidences[owner(v)] += g.degree(v);
   }
 
   RlrMatchingResult res;
@@ -98,15 +106,14 @@ RlrMatchingResult rlr_matching(const graph::Graph& g,
 
   // Owned-alive count to central; also consumes the death notices the
   // previous iteration's recompute round addressed to vertex owners.
+  // A notice names the dead edge's end at this machine's vertex.
   const mrc::RoundId r_count = engine.define_round(
       "count|Ei|", [&](MachineContext& ctx, std::span<const Word>) {
         ctx.charge_resident(footprint[ctx.id()] + 1);
         for (const mrc::MessageView msg : ctx.messages()) {
-          for (const Word w : msg.payload) {
-            const auto e = static_cast<EdgeId>(w);
-            const graph::Edge& ed = g.edge(e);
-            if (owner_of(ed.u, machines) == ctx.id()) alive_at_u[e] = 0;
-            if (owner_of(ed.v, machines) == ctx.id()) alive_at_v[e] = 0;
+          for (const Word end : msg.payload) {
+            MRLR_DEBUG_REQUIRE(end < 2 * m, "death notice names no edge end");
+            end_alive[end] = 0;
           }
         }
         ctx.send(mrc::kCentral, {alive_cnt[ctx.id()]});
@@ -126,14 +133,14 @@ RlrMatchingResult rlr_matching(const graph::Graph& g,
         const double p = unpack_double(ps[2]);
         ctx.charge_resident(footprint[ctx.id()]);
         Rng rng = root_rng.stream((iter << 20) ^ ctx.id());
+        // Room for every owned incidence, so the arena never regrows.
+        ctx.reserve_outbox(2 * owned_incidences[ctx.id()]);
         for (VertexId v = static_cast<VertexId>(ctx.id()); v < n;
              v = static_cast<VertexId>(v + machines)) {
           mrc::MessageWriter msg = ctx.begin_message(mrc::kCentral);
+          const std::uint8_t* at_u = side.data() + g.incidence_offset(v);
           for (const graph::Incidence& inc : g.neighbours(v)) {
-            const graph::Edge& ed = g.edge(inc.edge);
-            const bool alive =
-                ed.u == v ? alive_at_u[inc.edge] : alive_at_v[inc.edge];
-            if (!alive) continue;
+            if (!end_alive[2 * std::uint64_t{inc.edge} + *at_u++]) continue;
             if (ship_all || rng.bernoulli(p)) {
               msg.push(inc.edge);
               msg.push(pack_double(g.weight(inc.edge)));
@@ -143,18 +150,30 @@ RlrMatchingResult rlr_matching(const graph::Graph& g,
       });
 
   // Vertex owners forward phi to incident edge owners, tagged with the
-  // vertex so the edge owner knows which endpoint's half it is. Triples
+  // side so the edge owner knows which endpoint's half it is. Triples
   // travel one frame per edge owner; the receiver reads them by stride.
+  // A counting pass sizes every frame, so each triple is written once,
+  // straight into the arena.
   const mrc::RoundId r_forward_phi = engine.define_round(
       "forward-phi", [&](MachineContext& ctx, std::span<const Word>) {
         ctx.charge_resident(footprint[ctx.id()]);
-        mrc::send_coalesced(ctx, [&](mrc::Lanes& out) {
+        std::vector<std::uint64_t> words(machines, 0);
+        for (const mrc::MessageView msg : ctx.messages()) {
+          for (std::size_t k = 0; k + 1 < msg.payload.size(); k += 2) {
+            const auto v = static_cast<VertexId>(msg.payload[k]);
+            for (const graph::Incidence& inc : g.neighbours(v)) {
+              words[owner(inc.edge)] += 3;
+            }
+          }
+        }
+        mrc::send_counted(ctx, words, [&](mrc::CountedLanes& out) {
           for (const mrc::MessageView msg : ctx.messages()) {
             for (std::size_t k = 0; k + 1 < msg.payload.size(); k += 2) {
               const auto v = static_cast<VertexId>(msg.payload[k]);
               const Word phi_w = msg.payload[k + 1];
+              const std::uint8_t* at_u = side.data() + g.incidence_offset(v);
               for (const graph::Incidence& inc : g.neighbours(v)) {
-                out.push(owner_of(inc.edge, machines), {inc.edge, v, phi_w});
+                out.push(owner(inc.edge), {inc.edge, *at_u++, phi_w});
               }
             }
           }
@@ -169,27 +188,23 @@ RlrMatchingResult rlr_matching(const graph::Graph& g,
         ctx.charge_resident(footprint[ctx.id()]);
         for (const mrc::MessageView msg : ctx.messages()) {
           for (std::size_t k = 0; k + 2 < msg.payload.size(); k += 3) {
-            const auto e = static_cast<EdgeId>(msg.payload[k]);
-            const auto v = static_cast<VertexId>(msg.payload[k + 1]);
-            const double phi = unpack_double(msg.payload[k + 2]);
-            if (g.edge(e).u == v) {
-              phi_u_acc[e] = phi;
-            } else {
-              phi_v_acc[e] = phi;
-            }
+            const Word end = 2 * msg.payload[k] + msg.payload[k + 1];
+            MRLR_DEBUG_REQUIRE(end < 2 * m, "phi triple names no edge end");
+            phi_end[end] = unpack_double(msg.payload[k + 2]);
           }
         }
         std::uint64_t count = 0;
         mrc::send_coalesced(ctx, [&](mrc::Lanes& out) {
           for (EdgeId e = static_cast<EdgeId>(ctx.id()); e < m;
                e = static_cast<EdgeId>(e + machines)) {
-            const double mw = g.weight(e) - phi_u_acc[e] - phi_v_acc[e];
+            const Word u_end = 2 * std::uint64_t{e} + 1;
+            const double mw = g.weight(e) - phi_end[u_end] - phi_end[u_end - 1];
             const bool alive = mw > 0.0;
             if (alive) ++count;
             if (owner_alive[e] && !alive) {
               const graph::Edge& ed = g.edge(e);
-              out.push(owner_of(ed.u, machines), {e});
-              out.push(owner_of(ed.v, machines), {e});
+              out.push(owner(ed.u), {u_end});
+              out.push(owner(ed.v), {u_end - 1});
             }
             owner_alive[e] = alive ? 1 : 0;
           }
@@ -261,8 +276,11 @@ RlrMatchingResult rlr_matching(const graph::Graph& g,
         bool found = false;
         for (std::size_t k = 0; k + 1 < pairs.size(); k += 2) {
           const auto e = static_cast<EdgeId>(pairs[k]);
-          const double mw = lr.modified_weight(e);
-          if (lr.edge_alive(e) && mw > best_w) {
+          // The weight came with the sample. mw > best_w >= 0 already
+          // means a positive modified weight, so edge_alive, checked
+          // only for a new best, decides nothing but the stack.
+          const double mw = lr.modified_weight(e, unpack_double(pairs[k + 1]));
+          if (mw > best_w && lr.edge_alive(e)) {
             best = e;
             best_w = mw;
             found = true;
@@ -277,7 +295,7 @@ RlrMatchingResult rlr_matching(const graph::Graph& g,
       ctx.charge_resident(central_footprint);
       mrc::send_coalesced(ctx, [&](mrc::Lanes& out) {
         for (VertexId v = 0; v < n; ++v) {
-          out.push(owner_of(v, machines), {v, pack_double(lr.phi(v))});
+          out.push(owner(v), {v, pack_double(lr.phi(v))});
         }
       });
     });

@@ -29,6 +29,8 @@ void Graph::build_index() {
   }
   for (std::uint64_t v = 0; v < n_; ++v) offsets_[v + 1] += offsets_[v];
   adj_.resize(2 * edges_.size());
+  // Edges in id order, so each vertex's list ascends by edge id
+  // (incidence_sides relies on it).
   std::vector<std::uint64_t> cursor(offsets_.begin(), offsets_.end() - 1);
   for (EdgeId e = 0; e < edges_.size(); ++e) {
     const Edge& ed = edges_[e];
@@ -39,6 +41,20 @@ void Graph::build_index() {
   for (std::uint64_t v = 0; v < n_; ++v) {
     max_degree_ = std::max(max_degree_, degree(static_cast<VertexId>(v)));
   }
+}
+
+std::vector<std::uint8_t> incidence_sides(const Graph& g) {
+  std::vector<std::uint8_t> side(2 * g.num_edges());
+  std::vector<std::uint64_t> cursor(g.num_vertices());
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    cursor[v] = g.incidence_offset(v);
+  }
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    const Edge& ed = g.edge(e);
+    side[cursor[ed.u]++] = 1;
+    side[cursor[ed.v]++] = 0;
+  }
+  return side;
 }
 
 double Graph::total_weight() const {

@@ -69,10 +69,16 @@ class Graph {
     return offsets_[v + 1] - offsets_[v];
   }
 
-  /// Neighbours of v with the edge ids realizing them.
+  /// Neighbours of v with the edge ids realizing them, in ascending
+  /// edge id.
   std::span<const Incidence> neighbours(VertexId v) const {
     return {adj_.data() + offsets_[v], adj_.data() + offsets_[v + 1]};
   }
+
+  /// Position of neighbours(v)[0] in the flat incidence order (all of
+  /// vertex 0's incidences, then vertex 1's, ...), so per-incidence
+  /// arrays of size 2m can be indexed as incidence_offset(v) + i.
+  std::uint64_t incidence_offset(VertexId v) const { return offsets_[v]; }
 
   std::uint64_t max_degree() const { return max_degree_; }
 
@@ -92,5 +98,12 @@ class Graph {
   std::vector<Incidence> adj_;          // size 2m
   std::uint64_t max_degree_ = 0;
 };
+
+/// Per-incidence side byte in the flat incidence order: entry
+/// incidence_offset(v) + i is 1 iff v is the `u` endpoint of
+/// neighbours(v)[i].edge. Built in one pass over the edges in id order
+/// (each vertex's list ascends by edge id), so it never reads edges at
+/// random.
+std::vector<std::uint8_t> incidence_sides(const Graph& g);
 
 }  // namespace mrlr::graph

@@ -6,7 +6,7 @@
 #include <fstream>
 #include <istream>
 #include <ostream>
-#include <sstream>
+#include <streambuf>
 #include <string>
 #include <vector>
 
@@ -58,6 +58,54 @@ void write_raw(std::ostream& os, const void* data, std::size_t bytes) {
   os.write(static_cast<const char*>(data),
            static_cast<std::streamsize>(bytes));
   if (!os) fail("write failed (disk full or closed stream?)");
+}
+
+/// Output buffer appending to a byte vector, so serialize_mgb writes
+/// the stream straight into its result.
+class VectorSink : public std::streambuf {
+ public:
+  explicit VectorSink(std::vector<std::byte>& out) : out_(out) {}
+
+ protected:
+  std::streamsize xsputn(const char* s, std::streamsize n) override {
+    const auto* p = reinterpret_cast<const std::byte*>(s);
+    out_.insert(out_.end(), p, p + n);
+    return n;
+  }
+  int_type overflow(int_type c) override {
+    if (!traits_type::eq_int_type(c, traits_type::eof())) {
+      out_.push_back(static_cast<std::byte>(c));
+    }
+    return traits_type::not_eof(c);
+  }
+
+ private:
+  std::vector<std::byte>& out_;
+};
+
+/// Input buffer over a byte span, read in place, so parse_mgb feeds
+/// read_mgb_data without copying the bytes first. in_avail() is the
+/// exact count of unread bytes. The get area is never written through.
+class SpanSource : public std::streambuf {
+ public:
+  explicit SpanSource(std::span<const std::byte> bytes) {
+    char* p = const_cast<char*>(reinterpret_cast<const char*>(bytes.data()));
+    setg(p, p, p + bytes.size());
+  }
+};
+
+/// Elements of `elem_size` bytes to reserve for a block the header says
+/// holds `declared`: all of them when the source vouches for that many
+/// unread bytes (an in-memory span), else at most kIoReserveCap, so an
+/// adversarial header cannot force a huge allocation before the first
+/// short read fails.
+std::size_t reserve_for(std::istream& is, std::uint64_t declared,
+                        std::size_t elem_size) {
+  const std::streamsize avail = is.rdbuf()->in_avail();
+  const std::uint64_t backed =
+      avail > 0 ? static_cast<std::uint64_t>(avail) / elem_size : 0;
+  return static_cast<std::size_t>(
+      std::min(declared, std::max(backed, kIoReserveCap)));
 }
 
 /// Reads exactly `bytes` or throws ParseError naming `what`.
@@ -183,17 +231,20 @@ void write_mgb_subset(const Graph& g, std::span<const EdgeId> edge_ids,
 }
 
 std::vector<std::byte> serialize_mgb(const Graph& g) {
-  std::ostringstream os(std::ios::binary);
+  const std::uint64_t per_edge =
+      sizeof(Edge) + (g.weighted() ? sizeof(double) : 0);
+  std::vector<std::byte> out;
+  out.reserve(sizeof(Header) + per_edge * g.num_edges() +
+              sizeof(std::uint64_t));
+  VectorSink sink(out);
+  std::ostream os(&sink);
   write_mgb(g, os);
-  const std::string s = std::move(os).str();
-  const auto* p = reinterpret_cast<const std::byte*>(s.data());
-  return std::vector<std::byte>(p, p + s.size());
+  return out;
 }
 
 Graph parse_mgb(std::span<const std::byte> bytes) {
-  std::istringstream is(
-      std::string(reinterpret_cast<const char*>(bytes.data()), bytes.size()),
-      std::ios::binary);
+  SpanSource source(bytes);
+  std::istream is(&source);
   return read_mgb(is);
 }
 
@@ -221,8 +272,9 @@ GraphData read_mgb_data(std::istream& is) {
   // Stream the blocks in fixed-size chunks, reading straight into the
   // destination vector's tail (no bounce buffer): a truncated or
   // adversarial header fails at the first short read instead of forcing
-  // an m-sized allocation up front.
-  d.edges.reserve(static_cast<std::size_t>(std::min(h.m, kIoReserveCap)));
+  // an m-sized allocation up front (reserve_for trusts only the bytes
+  // the source holds).
+  d.edges.reserve(reserve_for(is, h.m, sizeof(Edge)));
   for (std::uint64_t done = 0; done < h.m;) {
     const std::size_t take = static_cast<std::size_t>(
         std::min<std::uint64_t>(h.m - done, kChunkElems));
@@ -242,7 +294,7 @@ GraphData read_mgb_data(std::istream& is) {
   }
 
   if (d.weighted) {
-    d.weights.reserve(static_cast<std::size_t>(std::min(h.m, kIoReserveCap)));
+    d.weights.reserve(reserve_for(is, h.m, sizeof(double)));
     for (std::uint64_t done = 0; done < h.m;) {
       const std::size_t take = static_cast<std::size_t>(
           std::min<std::uint64_t>(h.m - done, kChunkElems));

@@ -8,6 +8,7 @@
 #include <utility>
 
 #include <signal.h>
+#include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -24,6 +25,7 @@
 #include "mrlr/core/rlr_setcover.hpp"
 #include "mrlr/exec/shard_worker.hpp"
 #include "mrlr/graph/validate.hpp"
+#include "mrlr/obs/telemetry.hpp"
 #include "mrlr/setcover/validate.hpp"
 #include "mrlr/util/mix64.hpp"
 
@@ -324,9 +326,40 @@ bool known_algorithm(std::string_view name) {
   return find_algorithm(name) != nullptr;
 }
 
+namespace {
+
+/// Minor page faults and system CPU (us) of this process and of the
+/// children it has reaped (a sharded job's workers).
+struct ResourceUse {
+  std::uint64_t minor_faults = 0;
+  std::uint64_t sys_us = 0;
+};
+
+ResourceUse resource_use() {
+  ResourceUse use;
+  for (const int who : {RUSAGE_SELF, RUSAGE_CHILDREN}) {
+    rusage ru{};
+    if (getrusage(who, &ru) != 0) continue;
+    use.minor_faults += static_cast<std::uint64_t>(ru.ru_minflt);
+    use.sys_us += static_cast<std::uint64_t>(ru.ru_stime.tv_sec) * 1000000 +
+                  static_cast<std::uint64_t>(ru.ru_stime.tv_usec);
+  }
+  return use;
+}
+
+}  // namespace
+
 JobResult run_job(const JobSpec& spec) {
   for (const RegistryEntry& e : kRegistry) {
-    if (e.info.name == spec.algorithm) return e.run(spec);
+    if (e.info.name != spec.algorithm) continue;
+    if (!obs::Telemetry::instance().enabled()) return e.run(spec);
+    // What the job costs the kernel: fresh pages and system time.
+    const ResourceUse before = resource_use();
+    JobResult result = e.run(spec);
+    const ResourceUse after = resource_use();
+    obs::count("jobs.minor_faults", after.minor_faults - before.minor_faults);
+    obs::count("jobs.sys_us", after.sys_us - before.sys_us);
+    return result;
   }
   bad_job("unknown algorithm \"" + spec.algorithm + "\"");
 }

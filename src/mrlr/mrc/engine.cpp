@@ -50,6 +50,56 @@ MessageWriter MachineContext::begin_message(MachineId to) {
   return MessageWriter(engine_, id_, to);
 }
 
+StagedFrames MachineContext::stage_frames(
+    std::span<const std::uint64_t> lens) {
+  MRLR_REQUIRE(lens.size() == engine_.num_machines(),
+               "stage_frames needs one length per machine");
+  MRLR_REQUIRE(!engine_.writer_open_[id_],
+               "stage_frames while this machine's MessageWriter is open");
+  return StagedFrames(engine_, id_, lens);
+}
+
+StagedFrames::StagedFrames(Engine& engine, MachineId from,
+                           std::span<const std::uint64_t> lens)
+    : engine_(&engine), from_(from), lens_(lens),
+      begin_(engine.staging_[from].words.size()) {
+  std::uint64_t total = 0;
+  for (const std::uint64_t len : lens) total += len;
+  engine.staging_[from].words.resize(begin_ + total);
+  engine.writer_open_[from] = 1;
+}
+
+StagedFrames::~StagedFrames() {
+  if (done_) return;
+  engine_->staging_[from_].words.resize(begin_);
+  engine_->writer_open_[from_] = 0;
+}
+
+std::span<Word> StagedFrames::words() const {
+  MRLR_DEBUG_REQUIRE(!done_, "StagedFrames: words after commit");
+  std::vector<Word>& arena = engine_->staging_[from_].words;
+  return {arena.data() + begin_, arena.size() - begin_};
+}
+
+void StagedFrames::commit() {
+  MRLR_REQUIRE(!done_, "StagedFrames: commit twice");
+  Engine::Outbox& out = engine_->staging_[from_];
+  std::uint64_t offset = begin_;
+  for (MachineId to = 0; to < lens_.size(); ++to) {
+    if (lens_[to] == 0) continue;
+    out.frames.push_back({to, offset, lens_[to]});
+    offset += lens_[to];
+  }
+  engine_->outbox_words_[from_] += offset - begin_;
+  engine_->writer_open_[from_] = 0;
+  done_ = true;
+}
+
+void MachineContext::reserve_outbox(std::uint64_t words) {
+  std::vector<Word>& out = engine_.staging_[id_].words;
+  out.reserve(out.size() + words);
+}
+
 void MachineContext::charge_resident(std::uint64_t words) {
   engine_.resident_words_[id_] =
       std::max(engine_.resident_words_[id_], words);

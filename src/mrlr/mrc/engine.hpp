@@ -42,7 +42,8 @@
 //
 // Driver idiom: records for one destination travel as one frame per
 // (sender, destination) — rounds that send many fixed-width records
-// build them in mrc::send_coalesced's per-destination lanes
+// build them in mrc::send_coalesced's per-destination lanes, or count
+// them first and write them in place with mrc::send_counted
 // (mrc/lanes.hpp), and receivers read them by stride. Frame boundaries
 // matter only where a receiver or an inbox_size peek counts frames
 // (the per-vertex and per-element sample rounds), which keep one frame
@@ -145,6 +146,36 @@ class MessageWriter {
   bool done_ = false;
 };
 
+/// Frames staged in place by MachineContext::stage_frames: one per
+/// destination with a nonzero word count, zeroed and back to back in
+/// ascending destination order at the tail of the sender's arena, for
+/// the caller to fill through words(). commit() makes them deliverable;
+/// a block that dies uncommitted (a fill that threw) is rolled back and
+/// sends nothing. While a block is open its machine may not send
+/// otherwise, as with an open MessageWriter.
+class StagedFrames {
+ public:
+  StagedFrames(const StagedFrames&) = delete;
+  StagedFrames& operator=(const StagedFrames&) = delete;
+  ~StagedFrames();
+
+  /// Every staged frame's words, destination-major.
+  std::span<Word> words() const;
+
+  void commit();
+
+ private:
+  friend class MachineContext;
+  StagedFrames(Engine& engine, MachineId from,
+               std::span<const std::uint64_t> lens);
+
+  Engine* engine_;
+  MachineId from_;
+  std::span<const std::uint64_t> lens_;
+  std::uint64_t begin_;
+  bool done_ = false;
+};
+
 /// Lightweight range over one machine's delivered messages, yielding
 /// MessageView spans into the senders' slabs. Valid only during the
 /// round in which it was obtained.
@@ -231,6 +262,18 @@ class MachineContext {
   /// Zero-copy batched send: returns a writer appending directly to
   /// this machine's arena. The message is framed when the writer dies.
   MessageWriter begin_message(MachineId to);
+
+  /// Stages one frame per destination `to` with lens[to] > 0 (lens has
+  /// one entry per machine and must outlive the block) for the caller to
+  /// fill in place: a callback that counts its records first writes each
+  /// word once, straight into the arena. See StagedFrames.
+  StagedFrames stage_frames(std::span<const std::uint64_t> lens);
+
+  /// Makes room for `words` more words in this machine's staging arena,
+  /// so the sends and writers that follow fill it without regrowing it.
+  /// Capacity only: nothing is sent or charged, and reserved pages that
+  /// are never written cost no resident memory.
+  void reserve_outbox(std::uint64_t words);
 
   /// Declare the words of algorithm state resident on this machine during
   /// this round. Algorithms must call this with an honest figure; the
@@ -357,6 +400,7 @@ class Engine : private exec::ShardJobPlane {
  private:
   friend class MachineContext;
   friend class MessageWriter;
+  friend class StagedFrames;
   friend class InboxView;
 
   /// ShardDataPlane / ShardJobPlane: the run-encoded shard wire of the

@@ -34,8 +34,15 @@ class MatchingLocalRatio {
   /// Modified (residual) weight of e. Inline, like edge_alive, because
   /// the central scans call both per sampled edge.
   double modified_weight(graph::EdgeId e) const {
+    return modified_weight(e, g_.weight(e));
+  }
+
+  /// As above, given w = the weight of e (bit-equal to g.weight(e)), as
+  /// when the weight travelled with e in a message: the same
+  /// subtraction in the same order, without the weight lookup.
+  double modified_weight(graph::EdgeId e, double w) const {
     const graph::Edge& ed = g_.edge(e);
-    return g_.weight(e) - phi_[ed.u] - phi_[ed.v];
+    return w - phi_[ed.u] - phi_[ed.v];
   }
 
   /// True if e has positive modified weight and is not on the stack;

@@ -32,6 +32,32 @@ TEST(OwnerOf, RoundRobinBalanced) {
   for (const auto l : load) EXPECT_EQ(l, 100u);
 }
 
+TEST(FastOwnerOf, MatchesModuloAtEdges) {
+  constexpr std::uint64_t kTop = (std::uint64_t{1} << 32) - 1;
+  for (const std::uint64_t machines : std::initializer_list<std::uint64_t>{
+           1, 2, 3, 7, (std::uint64_t{1} << 31) + 1, kTop}) {
+    const FastOwnerOf owner(machines);
+    for (const std::uint64_t item : std::initializer_list<std::uint64_t>{
+             0, 1, machines - 1, machines, kTop}) {
+      EXPECT_EQ(owner(static_cast<std::uint32_t>(item)), item % machines)
+          << "item " << item << " machines " << machines;
+    }
+  }
+}
+
+TEST(FastOwnerOf, MatchesModuloOnRandomPairs) {
+  Rng rng(0xFA57);
+  for (int i = 0; i < 100000; ++i) {
+    // Half the machine counts small, as drivers use them; half anywhere
+    // in [1, 2^32).
+    const std::uint64_t machines =
+        1 + rng.uniform(i % 2 == 0 ? 1024 : (std::uint64_t{1} << 32) - 1);
+    const auto item = static_cast<std::uint32_t>(rng());
+    ASSERT_EQ(FastOwnerOf(machines)(item), item % machines)
+        << "item " << item << " machines " << machines;
+  }
+}
+
 TEST(PackDouble, BitExactRoundTrip) {
   for (const double x :
        {0.0, 1.0, -1.0, 3.141592653589793, 1e-300, 1e300,

@@ -88,6 +88,46 @@ TEST(Graph, EmptyGraph) {
   EXPECT_EQ(g.max_degree(), 0u);
 }
 
+// The per-incidence invariants the matching driver's vertex-side rounds
+// rely on: lists ascend by edge id, and incidence_sides names each
+// incidence's end exactly as the edge list does.
+void expect_incidence_invariants(const Graph& g) {
+  const std::vector<std::uint8_t> side = incidence_sides(g);
+  ASSERT_EQ(side.size(), 2 * g.num_edges());
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    const std::span<const Incidence> nb = g.neighbours(v);
+    for (std::size_t i = 0; i < nb.size(); ++i) {
+      if (i > 0) {
+        EXPECT_LT(nb[i - 1].edge, nb[i].edge) << "vertex " << v;
+      }
+      const bool at_u = g.edge(nb[i].edge).u == v;
+      EXPECT_EQ(side[g.incidence_offset(v) + i], at_u ? 1 : 0)
+          << "vertex " << v << " incidence " << i;
+    }
+  }
+}
+
+TEST(Graph, IncidenceSidesOnGeneratedGraphs) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    Rng rng(seed);
+    expect_incidence_invariants(gnm(200, 1500, rng));
+    expect_incidence_invariants(chung_lu_power_law(300, 1200, 2.5, rng));
+  }
+  expect_incidence_invariants(Graph(0, {}));
+  expect_incidence_invariants(Graph(4, {}));
+}
+
+TEST(Graph, IncidenceSidesOnTextGraphWithBothOrientations) {
+  // Edges written both as "u v" with u > v and with u < v, so a vertex
+  // is the u end of some of its edges and the v end of others.
+  std::stringstream ss("5 7\n3 0\n0 4\n4 3\n1 3\n2 1\n1 4\n0 2\n");
+  const Graph g = read_edge_list(ss);
+  ASSERT_EQ(g.num_edges(), 7u);
+  EXPECT_EQ(g.edge(0), (Edge{3, 0}));
+  EXPECT_EQ(g.edge(1), (Edge{0, 4}));
+  expect_incidence_invariants(g);
+}
+
 // ----------------------------------------------------------- generators --
 
 TEST(Generators, GnmExactEdgeCount) {

@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <string>
 
@@ -292,6 +294,51 @@ TEST(MgbIo, WriterRejectsOverdeclaredAppend) {
   MgbWriter w(os, 3, 1, /*weighted=*/false);
   const std::vector<Edge> two = {{0, 1}, {1, 2}};
   EXPECT_DEATH(w.append_edges(two), "more edges");
+}
+
+// ------------------------------------------- in-memory codec (spans) --
+
+TEST(MgbSpanCodec, SerializeIsByteIdenticalToStreamWriter) {
+  Rng rng(11);
+  for (const Graph& g :
+       {sample_weighted(100, 400), gnm(90, 300, rng), Graph(5, {})}) {
+    const std::vector<std::byte> bytes = serialize_mgb(g);
+    const std::string want = to_mgb_bytes(g);
+    ASSERT_EQ(bytes.size(), want.size());
+    EXPECT_EQ(std::memcmp(bytes.data(), want.data(), want.size()), 0);
+    expect_graphs_equal(g, parse_mgb(bytes));
+  }
+}
+
+TEST(MgbSpanCodec, ParseRejectsEveryTruncatedPrefix) {
+  for (const Graph& g : {sample_weighted(6, 9), Graph(3, {{0, 1}})}) {
+    const std::vector<std::byte> bytes = serialize_mgb(g);
+    for (std::size_t len = 0; len < bytes.size(); ++len) {
+      EXPECT_THROW((void)parse_mgb(std::span(bytes).first(len)), ParseError)
+          << "prefix of " << len << " of " << bytes.size() << " bytes";
+    }
+  }
+}
+
+TEST(MgbSpanCodec, ParseRejectsTrailingByte) {
+  std::vector<std::byte> bytes = serialize_mgb(sample_weighted(6, 9));
+  bytes.push_back(std::byte{0});
+  EXPECT_THROW((void)parse_mgb(bytes), ParseError);
+}
+
+TEST(MgbSpanCodec, ParseRejectsFlippedChecksum) {
+  const std::vector<std::byte> good = serialize_mgb(sample_weighted(6, 9));
+  for (std::size_t at = good.size() - 8; at < good.size(); ++at) {
+    std::vector<std::byte> bytes = good;
+    bytes[at] ^= std::byte{0x01};
+    EXPECT_THROW((void)parse_mgb(bytes), ParseError) << "byte " << at;
+  }
+}
+
+TEST(MgbSpanCodec, ParseRejectsOutOfRangeEndpoint) {
+  std::vector<std::byte> bytes = serialize_mgb(Graph(3, {{0, 1}}));
+  bytes[36] = std::byte{7};  // v: 1 -> 7 on a 3-vertex graph
+  EXPECT_THROW((void)parse_mgb(bytes), ParseError);
 }
 
 // ------------------------------------------------------ GraphData layer --

@@ -18,6 +18,7 @@
 #include "mrlr/jobs/job_spec.hpp"
 #include "mrlr/jobs/report.hpp"
 #include "mrlr/jobs/worker.hpp"
+#include "mrlr/obs/telemetry.hpp"
 #include "mrlr/setcover/generators.hpp"
 #include "mrlr/util/rng.hpp"
 
@@ -256,6 +257,20 @@ TEST(JobsRunJob, FingerprintsMatchPreRefactorGoldens) {
                   jobs::decode_job_result(jobs::encode_job_result(r))),
               goldens[i]);
   }
+}
+
+TEST(JobsRunJob, TelemetryRecordsFaultsAndSystemTime) {
+  const jobs::JobSpec spec = golden_specs().front();
+  const std::string untraced = jobs::fingerprint(jobs::run_job(spec));
+  obs::Telemetry& t = obs::Telemetry::instance();
+  t.enable();
+  const jobs::JobResult traced = jobs::run_job(spec);
+  const obs::TelemetrySnapshot snap = t.snapshot();
+  t.disable();
+  t.clear();
+  EXPECT_EQ(jobs::fingerprint(traced), untraced);
+  EXPECT_EQ(snap.counters.count("jobs.minor_faults"), 1u);
+  EXPECT_EQ(snap.counters.count("jobs.sys_us"), 1u);
 }
 
 // ----------------------------------------------------- render pins --

@@ -31,20 +31,33 @@ Topology topo(std::uint64_t machines, std::uint64_t cap = 1 << 20) {
 
 // ------------------------------------------------- coalesced records --
 
+enum class SendMode { kPerRecord, kCoalesced, kCounted };
+
 // Machine s sends records {s, i} to destination (s + i) % M for
 // i = 0..7, in that order: destinations interleave within one sender.
-void send_interleaved_records(MachineContext& ctx, bool coalesce) {
+void send_interleaved_records(MachineContext& ctx, SendMode mode) {
   const MachineId machines = static_cast<MachineId>(ctx.num_machines());
   const auto to = [&](Word i) {
     return static_cast<MachineId>((ctx.id() + i) % machines);
   };
-  if (!coalesce) {
-    for (Word i = 0; i < 8; ++i) ctx.send(to(i), {ctx.id(), i});
-    return;
+  switch (mode) {
+    case SendMode::kPerRecord:
+      for (Word i = 0; i < 8; ++i) ctx.send(to(i), {ctx.id(), i});
+      return;
+    case SendMode::kCoalesced:
+      send_coalesced(ctx, [&](Lanes& out) {
+        for (Word i = 0; i < 8; ++i) out.push(to(i), {ctx.id(), i});
+      });
+      return;
+    case SendMode::kCounted: {
+      std::vector<std::uint64_t> words(machines, 0);
+      for (Word i = 0; i < 8; ++i) words[to(i)] += 2;
+      send_counted(ctx, words, [&](CountedLanes& out) {
+        for (Word i = 0; i < 8; ++i) out.push(to(i), {ctx.id(), i});
+      });
+      return;
+    }
   }
-  send_coalesced(ctx, [&](Lanes& out) {
-    for (Word i = 0; i < 8; ++i) out.push(to(i), {ctx.id(), i});
-  });
 }
 
 // Per machine: its inbox's words in delivery order, and its frame count.
@@ -53,12 +66,12 @@ struct Delivered {
   std::vector<std::uint64_t> frames;
 };
 
-Delivered deliver_records(bool coalesce) {
+Delivered deliver_records(SendMode mode) {
   Engine e(topo(3));
   Delivered d{std::vector<std::vector<Word>>(3),
               std::vector<std::uint64_t>(3)};
   e.run_round("send", [&](MachineContext& ctx) {
-    send_interleaved_records(ctx, coalesce);
+    send_interleaved_records(ctx, mode);
   });
   e.run_round("recv", [&](MachineContext& ctx) {
     d.frames[ctx.id()] = ctx.inbox_size();
@@ -71,13 +84,106 @@ Delivered deliver_records(bool coalesce) {
 }
 
 TEST(Lanes, OneFramePerDestinationWithTheSameWords) {
-  const Delivered per_record = deliver_records(false);
-  const Delivered coalesced = deliver_records(true);
+  const Delivered per_record = deliver_records(SendMode::kPerRecord);
+  const Delivered coalesced = deliver_records(SendMode::kCoalesced);
   EXPECT_EQ(coalesced.words, per_record.words);
   for (MachineId m = 0; m < 3; ++m) {
     EXPECT_EQ(per_record.frames[m], 8u);  // every sender's records to m
     EXPECT_EQ(coalesced.frames[m], 3u);   // one frame per sender
   }
+}
+
+TEST(CountedLanes, DeliversWhatSendCoalescedDelivers) {
+  const Delivered coalesced = deliver_records(SendMode::kCoalesced);
+  const Delivered counted = deliver_records(SendMode::kCounted);
+  EXPECT_EQ(counted.words, coalesced.words);
+  EXPECT_EQ(counted.frames, coalesced.frames);
+}
+
+TEST(CountedLanes, SkipsDestinationsCountedEmpty) {
+  Engine e(topo(4));
+  e.run_round("send", [](MachineContext& ctx) {
+    if (!ctx.is_central()) return;
+    const std::vector<std::uint64_t> words{0, 1, 0, 2};
+    send_counted(ctx, words, [](CountedLanes& out) {
+      out.push(3, {30});
+      out.push(1, {10});
+      out.push(3, {31});
+    });
+  });
+  EXPECT_EQ(e.metrics().per_round().back().total_sent, 3u);
+  e.run_round("recv", [](MachineContext& ctx) {
+    const bool gets = ctx.id() == 1 || ctx.id() == 3;
+    ASSERT_EQ(ctx.inbox_size(), gets ? 1u : 0u);
+    if (!gets) return;
+    const MessageView m = ctx.message(0);
+    const std::vector<Word> got(m.payload.begin(), m.payload.end());
+    const std::vector<Word> want =
+        ctx.id() == 1 ? std::vector<Word>{10} : std::vector<Word>{30, 31};
+    EXPECT_EQ(got, want);
+  });
+}
+
+TEST(CountedLanes, ThrowingFillSendsNothingAndFreesTheMachine) {
+  Engine e(topo(2));
+  e.run_round("send", [](MachineContext& ctx) {
+    if (!ctx.is_central()) return;
+    const std::vector<std::uint64_t> words{0, 3};
+    EXPECT_THROW(send_counted(ctx, words,
+                              [](CountedLanes& out) {
+                                out.push(1, {1, 2});
+                                throw std::runtime_error("fill failed");
+                              }),
+                 std::runtime_error);
+    ctx.send(1, {7});  // the rolled-back block left no writer open
+  });
+  EXPECT_EQ(e.metrics().per_round().back().total_sent, 1u);
+  e.run_round("recv", [](MachineContext& ctx) {
+    if (ctx.id() != 1) return;
+    ASSERT_EQ(ctx.inbox_size(), 1u);
+    EXPECT_EQ(ctx.message(0).payload[0], 7u);
+  });
+}
+
+TEST(CountedLanes, MiscountedFillDies) {
+  const auto push_short = [] {
+    Engine e(topo(2));
+    e.run_round("send", [](MachineContext& ctx) {
+      const std::vector<std::uint64_t> words{0, 2};
+      send_counted(ctx, words, [](CountedLanes& out) { out.push(1, {1}); });
+    });
+  };
+  const auto push_long = [] {
+    Engine e(topo(2));
+    e.run_round("send", [](MachineContext& ctx) {
+      const std::vector<std::uint64_t> words{0, 1};
+      send_counted(ctx, words,
+                   [](CountedLanes& out) { out.push(1, {1, 2}); });
+    });
+  };
+  EXPECT_DEATH(push_short(), "fewer words pushed than counted");
+  EXPECT_DEATH(push_long(), "more words pushed than counted");
+}
+
+TEST(ReserveOutbox, ChangesNoDeliveredWord) {
+  const auto run = [](bool reserve) {
+    Engine e(topo(3));
+    std::vector<Word> got;
+    e.run_round("send", [&](MachineContext& ctx) {
+      if (reserve) ctx.reserve_outbox(1000);
+      ctx.send(0, {ctx.id(), 1});
+      MessageWriter w = ctx.begin_message(0);
+      w.push(ctx.id() + 10);
+    });
+    e.run_round("recv", [&](MachineContext& ctx) {
+      if (!ctx.is_central()) return;
+      for (const MessageView m : ctx.messages()) {
+        got.insert(got.end(), m.payload.begin(), m.payload.end());
+      }
+    });
+    return std::make_pair(got, e.metrics().total_communication());
+  };
+  EXPECT_EQ(run(true), run(false));
 }
 
 TEST(Lanes, FramesLeaveInAscendingDestinationOrder) {
