@@ -61,7 +61,8 @@ void write_raw(std::ostream& os, const void* data, std::size_t bytes) {
 }
 
 /// Output buffer appending to a byte vector, so serialize_mgb writes
-/// the stream straight into its result.
+/// the stream straight into its result. Only block writes (the .mgb
+/// writer's ostream::write) reach it.
 class VectorSink : public std::streambuf {
  public:
   explicit VectorSink(std::vector<std::byte>& out) : out_(out) {}
@@ -71,12 +72,6 @@ class VectorSink : public std::streambuf {
     const auto* p = reinterpret_cast<const std::byte*>(s);
     out_.insert(out_.end(), p, p + n);
     return n;
-  }
-  int_type overflow(int_type c) override {
-    if (!traits_type::eq_int_type(c, traits_type::eof())) {
-      out_.push_back(static_cast<std::byte>(c));
-    }
-    return traits_type::not_eof(c);
   }
 
  private:
